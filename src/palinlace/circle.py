@@ -16,6 +16,8 @@ the largest root); floating input falls back to high-precision numerics.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +50,10 @@ GCD_REL_TOL = mpmath.mpf("1e-9")       # float-track divisibility threshold
 CERT_CLUSTER_TOL = mpmath.mpf("1e-6")  # double-root clustering
 EXACT_REL_TOL = mpmath.mpf("1e-8")     # discriminant-vanishing threshold
 ROOT_IM_TOL = mpmath.mpf("1e-9")       # accept near-real roots of the alpha poly
+SEED_REL_TOL = 1e-12                   # float64 Durand-Kerner convergence
+SEED_MAX_STEPS = 200
+SEED_CIRCLE_TOL = 1e-3                 # seeds this near |z| = 1 get polished
+POLISH_MAX_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -484,19 +490,137 @@ def _max_over_candidates(cands, root_info, disc_poly):
         return mid
 
 
+def _float_seeds(coeffs):
+    """Roots of a complex (float64) polynomial by Durand-Kerner iteration.
+
+    ``coeffs`` are ascending with nonzero first and last entries.  Returns
+    None when an iterate is not finite, two iterates collide, or some
+    Weierstrass correction does not fall below SEED_REL_TOL within
+    SEED_MAX_STEPS sweeps -- which is also what happens at a multiple root,
+    where float64 cannot resolve the cluster.
+    """
+    d = len(coeffs) - 1
+    a = [c / coeffs[-1] for c in coeffs]
+    radius = abs(a[0]) ** (1.0 / d)
+    if not (math.isfinite(radius) and radius > 0):
+        return None
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4)) for k in range(d)]
+    for _ in range(SEED_MAX_STEPS):
+        converged = True
+        for i in range(d):
+            zi = z[i]
+            num = 0j
+            for c in reversed(a):
+                num = num * zi + c
+            den = 1 + 0j
+            for j in range(d):
+                if j != i:
+                    den *= zi - z[j]
+            if den == 0:
+                return None
+            w = num / den
+            rel = abs(w) / max(1.0, abs(zi))
+            if not math.isfinite(rel):
+                return None
+            converged = converged and rel <= SEED_REL_TOL
+            z[i] = zi - w
+        if converged:
+            return z
+    return None
+
+
+def _newton_polish(coeffs, seed: complex, bits: int):
+    """Newton on ascending mpc ``coeffs`` from ``seed`` at ``bits``.
+
+    None if the iteration stalls or leaves the seed's root: a converged seed
+    lies far closer than CERT_CLUSTER_TOL to it.
+    """
+    with working_precision(bits):
+        der = [k * coeffs[k] for k in range(1, len(coeffs))]
+        z = mpmath.mpc(seed)
+        tol = mpmath.mpf(2) ** (-(bits // 2))
+        last = False  # quadratic convergence: one step past tol is full precision
+        for _ in range(POLISH_MAX_STEPS):
+            df = _mpf_eval(der, z)
+            if df == 0:
+                return None
+            step = _mpf_eval(coeffs, z) / df
+            z -= step
+            if last:
+                break
+            last = abs(step) <= tol * (1 + abs(z))
+        else:
+            return None
+        if abs(z - seed) > CERT_CLUSTER_TOL * (1 + abs(z)):
+            return None
+        return z
+
+
+def _polished_circle_roots(dcoeffs, bits: int):
+    """Roots of dcoeffs within SEED_CIRCLE_TOL of |z| = 1, to ``bits`` bits.
+
+    Float64 Durand-Kerner seeds, then Newton at ``bits`` on each seed near the
+    circle; roots farther out cannot pass the cert filter and are dropped.
+    Returns None when the float stage or a polish fails, or when two seeds
+    polish to the same root, so the caller can solve in full precision.
+    """
+    with working_precision(bits):
+        cof = list(dcoeffs)
+        while cof and cof[-1] == 0:
+            cof.pop()
+        while cof and cof[0] == 0:      # roots at 0 are never certs
+            cof.pop(0)
+        if len(cof) <= 1:
+            return []
+        top = max(abs(c) for c in cof)
+        floats = [complex(c / top) for c in cof]
+    if floats[0] == 0 or floats[-1] == 0:
+        return None
+    seeds = _float_seeds(floats)
+    if seeds is None:
+        return None
+    out = []
+    for s in seeds:
+        if abs(abs(s) - 1) > SEED_CIRCLE_TOL:
+            continue
+        z = _newton_polish(cof, s, bits)
+        if z is None:
+            return None
+        out.append(z)
+    with working_precision(bits):
+        tol = mpmath.mpf(2) ** (-(bits // 2))
+        for i, z in enumerate(out):
+            if any(abs(z - w) <= tol * (1 + abs(z)) for w in out[:i]):
+                return None
+    return out
+
+
+def _double_root_factor(p: Polynomial, value: Fraction, bits: int):
+    """Square-free part of gcd(p_value, p_value') over Q, as mpf at ``bits``."""
+    n = p.darga
+    pc = to_fraction_coeffs(p) + [Fraction(0)] * (n + 1 - len(p.re))
+    pc[0] += value
+    pc[n] += value
+    g = rp.squarefree_part(rp.gcd(pc, rp.derivative(pc)))
+    with working_precision(bits):
+        return [as_mpf(c) for c in g]
+
+
 def _certs_for(p: Polynomial, value) -> tuple:
     """Unit-circle double roots of p at alpha = value; upper-half reps for real p.
 
-    A double root of p_cn is a common root of p_cn and its derivative, so we
-    solve the (generically simple-rooted) derivative and keep the roots that
-    also annihilate p_cn -- far better conditioned than clustering the
-    multiple roots of p_cn itself.
+    A double root of p_cn is a common root of p_cn and its derivative.  For
+    exact real p at a rational value the candidates are the roots of the
+    exact common factor, which has low degree and simple roots.  Otherwise
+    they are the roots of the (generically simple-rooted) derivative near the
+    circle, seeded in float64 and Newton-polished; a failed seed or polish
+    falls back to solving the whole derivative at full precision.  Either
+    way the candidates must sit on the circle and annihilate p_cn.
     """
     bits = 2 * default_precision()
     n = p.darga
     with working_precision(bits):
-        alpha = as_mpf(value) if not isinstance(value, Fraction) else \
-            mpmath.mpf(value.numerator) / value.denominator
+        alpha = as_mpf(value)
         coeffs = []
         for k in range(n + 1):
             a, b = p.coeff(k)
@@ -506,7 +630,12 @@ def _certs_for(p: Polynomial, value) -> tuple:
             coeffs.append(c)
         dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
         scale = sum(abs(c) for c in coeffs)
-    droots = all_roots(dcoeffs, bits)
+    if p.is_exact and p.is_real and isinstance(value, Fraction):
+        droots = all_roots(_double_root_factor(p, value, bits), bits)
+    else:
+        droots = _polished_circle_roots(dcoeffs, bits)
+        if droots is None:
+            droots = all_roots(dcoeffs, bits)
     with working_precision(bits):
         tol_p = mpmath.mpf("1e-9") * (1 + scale)
         certs = []

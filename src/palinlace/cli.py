@@ -285,22 +285,24 @@ def _scan_row(index: int, p: Polynomial) -> list:
     il = interlace_number(p)
     rational, value = is_interlace_rational(p)
     cn = ci.circle_number_palindromic(p)
-    with working_precision():
-        be = as_mpf(il.value) / as_mpf(cn.value) - 1
     verdict = ci.is_exact(p)
-    return [
-        str(index),
-        str(p.darga),
-        format_coeff_text(p),
-        mpmath.nstr(il.value, 20),
-        format_scalar(value) if rational else "",
-        mpmath.nstr(as_mpf(cn.value), 20),
-        format_scalar(cn.value) if isinstance(cn.value, Fraction) else "",
-        mpmath.nstr(be, 20),
-        "1" if verdict.exact else "0",
-        " ".join(str(j) for j in sorted(il.certs)),
-        " ".join(mpmath.nstr(z, 17) for z in cn.certs),
-    ]
+    # one block at the configured precision: the row must not depend on
+    # whatever precision another scan thread has set
+    with working_precision(default_precision()):
+        be = as_mpf(il.value) / as_mpf(cn.value) - 1
+        return [
+            str(index),
+            str(p.darga),
+            format_coeff_text(p),
+            mpmath.nstr(il.value, 20),
+            format_scalar(value) if rational else "",
+            mpmath.nstr(as_mpf(cn.value), 20),
+            format_scalar(cn.value) if isinstance(cn.value, Fraction) else "",
+            mpmath.nstr(be, 20),
+            "1" if verdict.exact else "0",
+            " ".join(str(j) for j in sorted(il.certs)),
+            " ".join(mpmath.nstr(z, 17) for z in cn.certs),
+        ]
 
 
 def cmd_scan(args) -> int:

@@ -202,6 +202,7 @@ def ramanujan_lower(p: Polynomial):
     return best
 
 
+@at_working_precision
 def monotonic_lower(p: Polynomial):
     """Parity-split lower bound for half-monotone increasing p."""
     _require_trim_pal(p)
@@ -211,6 +212,8 @@ def monotonic_lower(p: Polynomial):
         raise NotApplicable("monotonic lower bound needs a half-monotone "
                             "increasing polynomial of darga >= 4")
     sig = sigma_of(p).sigma
+    if not p.is_exact:  # mixed tokens: Fraction and mpf do not combine
+        sig = [as_mpf(c) for c in sig]
     if n % 2 == 0:
         shrink = 1 - Fraction(5, m * m)
         return sig[m] + (sig[m - 1] - sig[1]) * shrink

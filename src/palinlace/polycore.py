@@ -55,10 +55,6 @@ def scalar_mul(a, b):
     return as_mpf(a) * as_mpf(b)
 
 
-def scalar_neg(a):
-    return -a
-
-
 def _norm_scalar(x):
     """Canonicalise a coefficient: ints stay int-backed Fractions."""
     if isinstance(x, (int, Fraction)):
@@ -411,11 +407,6 @@ def poly_of(s: SigmaRep) -> Polynomial:
     return Polynomial(re, im, zero_darga=n)
 
 
-def trim_sigma(p: Polynomial) -> list:
-    """Trim sigma coordinates (sigma_1 .. sigma_floor(n/2)) of a palindromic p."""
-    return list(sigma_of(p).sigma[1:])
-
-
 # -- trimming and the alpha family -------------------------------------------
 
 @at_working_precision
@@ -540,11 +531,6 @@ def exact_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     a = to_fraction_coeffs(p)
     b = to_fraction_coeffs(q)
     return poly_from_fractions(rp.gcd(a, b))
-
-
-def poly_divmod(p: Polynomial, q: Polynomial):
-    quo, rem = rp.divmod_exact(to_fraction_coeffs(p), to_fraction_coeffs(q))
-    return poly_from_fractions(quo), poly_from_fractions(rem)
 
 
 def x_pow_n_plus_1(n: int) -> Polynomial:

@@ -46,9 +46,11 @@ def working_precision(bits: int | None = None):
     With no explicit request the configured default applies, except that an
     ambient block that is already more precise is never downgraded.
     """
-    if bits is None:
-        bits = max(default_precision(), mpmath.mp.prec)
     with _PREC_LOCK:
+        # read the ambient precision under the lock: another thread's block
+        # sets the process-global mpmath context while it holds the lock
+        if bits is None:
+            bits = max(default_precision(), mpmath.mp.prec)
         with mpmath.workprec(bits):
             yield mpmath.mp
 

@@ -67,13 +67,6 @@ def mul(p, q):
     return strip(out)
 
 
-def shift(p, k: int):
-    """Multiply by x^k."""
-    if is_zero(p):
-        return []
-    return [0] * k + list(p)
-
-
 def derivative(p):
     return strip([i * p[i] for i in range(1, len(p))])
 

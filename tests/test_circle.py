@@ -1,5 +1,6 @@
 """Circle number (both routes), certs, exactness, bounding error."""
 
+import random
 from fractions import Fraction as Q
 
 import mpmath
@@ -18,7 +19,7 @@ from palinlace.polycore import (
     trim_part,
     x_pow_n_plus_1,
 )
-from palinlace.precision import working_precision
+from palinlace.precision import default_precision, working_precision
 from palinlace import ratpoly as rp
 
 from conftest import approx, ge, random_trim_palindromic
@@ -378,3 +379,128 @@ class TestHeckeDiscIdentity:
             lhs = exact_disc(fx2)
             rhs = Q(-1) ** d * Q(4) ** d * f[-1] * f[0] * exact_disc(f) ** 2
             assert lhs == rhs
+
+
+def reference_certs(p, value):
+    """Certs by solving all of p_value' at 768 bits (the original method)."""
+    bits = 2 * default_precision()
+    n = p.darga
+    with working_precision(bits):
+        alpha = as_mpf(value)
+        coeffs = []
+        for k in range(n + 1):
+            a, b = p.coeff(k)
+            c = mpmath.mpc(as_mpf(a), as_mpf(b))
+            if k == 0 or k == n:
+                c = c + alpha
+            coeffs.append(c)
+        dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
+        scale = sum(abs(c) for c in coeffs)
+        desc = list(reversed(dcoeffs))
+        droots = mpmath.polyroots(desc, maxsteps=100 + 5 * bits,
+                                  extraprec=2 * bits, error=False)
+        tol_p = mpmath.mpf("1e-9") * (1 + scale)
+        certs = []
+        for z in droots:
+            if abs(abs(z) - 1) > ci.CERT_CLUSTER_TOL:
+                continue
+            val = mpmath.mpc(0)
+            for c in reversed(coeffs):
+                val = val * z + c
+            if abs(val) > tol_p:
+                continue
+            z = z / abs(z)
+            if p.is_real and z.imag < 0:
+                z = mpmath.conj(z)
+            if any(abs(z - w) < ci.CERT_CLUSTER_TOL for w in certs):
+                continue
+            certs.append(z)
+        return tuple(certs)
+
+
+def same_certs(a, b, tol="1e-12"):
+    with working_precision(256):
+        t = mpmath.mpf(tol)
+        return len(a) == len(b) and \
+            all(any(abs(x - y) < t for y in b) for x in a) and \
+            all(any(abs(x - y) < t for x in a) for y in b)
+
+
+def criterion09_stream(count):
+    """The first polynomials of criterion 09's stream, drawn the same way."""
+    rng = random.Random(987654321)
+    for i in range(count):
+        p = random_trim_palindromic(rng, 3 + i % 8)
+        rng.randint(1, 9), rng.randint(1, 4)  # the scale factor it draws
+        yield p
+
+
+class TestCertSolve:
+    def test_matches_full_solve_on_criterion09_stream(self):
+        for p in criterion09_stream(24):
+            variants = [p, p.stretch(2)]
+            if p.darga % 2 == 0:
+                variants.append(p.sign_flip())
+            for q in variants:
+                for route in (ci.circle_number, ci.circle_number_palindromic):
+                    res = route(q)
+                    assert same_certs(res.certs, reference_certs(q, res.value), "1e-30"), \
+                        (q, route)
+
+    @pytest.mark.parametrize("b", [Q(1, 3), Q(2, 5), Q(-6, 7)])
+    def test_double_root_off_the_real_axis(self, b):
+        # p_1 = (x^2 + b x + 1)^2: the common factor is x^2 + b x + 1, whose
+        # coefficients are not binary fractions
+        p = make_polynomial([2 * b, 2 + b * b, 2 * b], offset=1)
+        for route in (ci.circle_number, ci.circle_number_palindromic):
+            res = route(p)
+            assert res.value == 1
+            assert same_certs(res.certs, reference_certs(p, res.value), "1e-30")
+            with working_precision(256):
+                assert abs(res.certs[0].real + as_mpf(b) / 2) < mpmath.mpf("1e-30")
+
+    def test_scaling_keeps_certs_on_both_routes(self):
+        lam = Q(3, 7)
+        for p in criterion09_stream(8):
+            for route in (ci.circle_number, ci.circle_number_palindromic):
+                assert same_certs(route(p.scale(lam)).certs, route(p).certs)
+
+    @pytest.mark.parametrize("lam", [Q(3, 7), Q(10) ** 300])
+    def test_scaling_keeps_certs_on_both_paths(self, lam):
+        # exact common factor when the value is rational, float seeds when it
+        # is an mpf; coefficients near 1e301 must not reach float64 unscaled
+        for p in criterion09_stream(16):
+            base = ci.circle_number_palindromic(p)
+            q = p.scale(lam)
+            with working_precision(512):
+                value = as_mpf(base.value) * as_mpf(lam)
+            assert same_certs(ci._certs_for(q, value), base.certs)
+            if isinstance(base.value, Q):
+                assert same_certs(ci._certs_for(q, base.value * lam), base.certs)
+
+    def test_complex_self_inversive_on_float_path(self, monkeypatch):
+        # (2+i)x + 3x^2 + (2-i)x^3: trim self-inversive of darga 4
+        p = Polynomial([0, 2, 3, 2], [0, 1, 0, -1])
+        res = ci.circle_number(p)
+        assert not isinstance(res.value, Q)
+        assert res.certs
+        assert same_certs(res.certs, reference_certs(p, res.value))
+
+        def no_full_solve(*args):
+            raise AssertionError("fell back to the full solve")
+
+        monkeypatch.setattr(ci, "all_roots", no_full_solve)
+        assert same_certs(ci._certs_for(p, res.value), res.certs)
+
+    def test_multiple_root_falls_back_to_full_solve(self, monkeypatch):
+        # p_1 = (x + 1)^4 on float input: float64 cannot resolve the triple
+        # root of the derivative, so the whole derivative is solved instead
+        p = Polynomial([0, mpmath.mpf(4), mpmath.mpf(6), mpmath.mpf(4), 0])
+        solved = []
+        real_all_roots = ci.all_roots
+        monkeypatch.setattr(ci, "all_roots",
+                            lambda c, b=None: solved.append(len(c)) or real_all_roots(c, b))
+        certs = ci._certs_for(p, mpmath.mpf(1))
+        assert solved == [p.darga]
+        assert same_certs(certs, reference_certs(p, mpmath.mpf(1)))
+        assert same_certs(certs, (mpmath.mpc(-1),))

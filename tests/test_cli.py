@@ -6,9 +6,10 @@ import math
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 
-from palinlace.cli import analysis_report, canonical_json, main
+from palinlace.cli import _scan_row, analysis_report, canonical_json, main
 from palinlace.polycore import make_polynomial, parse_coeff_text
 
 
@@ -51,6 +52,16 @@ class TestAnalyze:
     def test_missing_input_is_error(self):
         code, out = run_cli(["analyze"])
         assert code == 2
+
+    def test_mixed_tokens_match_float_tokens(self):
+        inner = "-1.2360679774997896964"  # 1 - sqrt(5) to 20 digits
+        code, mixed = run_cli(["analyze", f"--coeffs={inner},6,6,{inner}"])
+        assert code == 0
+        code, floats = run_cli(["analyze", f"--coeffs={inner},6.0,6.0,{inner}"])
+        assert code == 0
+        got = json.loads(mixed)["bounds"]["monotonic_lower"]
+        assert got is not None
+        assert got == json.loads(floats)["bounds"]["monotonic_lower"]
 
 
 class TestFamilyRoundTrip:
@@ -122,6 +133,15 @@ class TestScan:
         be_values = [float(r[7]) for r in rows]
         assert max(be_values) >= 4 - 1e-12
         assert abs(be_values[0] - 4) < 1e-12
+
+    def test_row_ignores_ambient_precision(self):
+        # a pool thread sees whatever precision the other thread has set
+        p = parse_coeff_text("17,12,-18,7,-18,12,17")
+        at_53 = _scan_row(0, p)
+        with mpmath.workprec(768):
+            at_768 = _scan_row(0, p)
+        assert at_53 == at_768
+        assert at_53[5] == "28.248068182871763275"
 
 
 class TestPlotdata:
