@@ -31,6 +31,7 @@ from .errors import (
     InternalInconsistency,
     NotApplicable,
     NotSelfInversive,
+    NotSupported,
     NotTrim,
     OracleFailure,
 )
@@ -111,8 +112,7 @@ def all_roots(coeffs, bits: int | None = None):
 
 def polynomial_roots(p: Polynomial, bits: int | None = None):
     with working_precision(bits):
-        coeffs = [mpmath.mpc(as_mpf(a), as_mpf(b))
-                  for a, b in (p.coeff(j) for j in range(len(p.re)))]
+        coeffs = p.mpc_coeffs()
     return all_roots(coeffs, bits)
 
 
@@ -196,38 +196,31 @@ def cayley(p: Polynomial, j: int) -> Polynomial:
     bits = 2 * default_precision()
     with working_precision(bits):
         w = mpmath.expjpi(mpmath.mpf(2 * j) / n)
-        # numeric polynomials as coefficient lists of mpc
-        mi = [mpmath.mpc(0, -1), mpmath.mpc(1)]
-        pl = [mpmath.mpc(0, 1), mpmath.mpc(1)]
-
-        def nmul(a, b):
-            out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for k, y in enumerate(b):
-                    out[i + k] += x * y
-            return out
-
-        mp_list = [[mpmath.mpc(1)]]
-        pp_list = [[mpmath.mpc(1)]]
-        for _ in range(n):
-            mp_list.append(nmul(mp_list[-1], mi))
-            pp_list.append(nmul(pp_list[-1], pl))
-        acc = [mpmath.mpc(0)] * (n + 1)
-        scalemax = mpmath.mpf(0)
-        for k in range(n + 1):
-            a, b = p.coeff(k)
-            c = mpmath.mpc(as_mpf(a), as_mpf(b)) * w**k
-            if c == 0:
-                continue
-            term = nmul(mp_list[k], pp_list[n - k])
-            for i, t in enumerate(term):
-                acc[i] += c * t
-        for c in acc:
-            scalemax = max(scalemax, abs(c))
+        acc = _cayley_float([c * w**k for k, c in enumerate(p.mpc_coeffs(n + 1))])
+        scalemax = max(abs(c) for c in acc)
         eps = scalemax * mpmath.mpf(2) ** (-(bits - 48))
         if any(abs(c.imag) > eps for c in acc):
             raise InternalInconsistency("Cayley image has a nonvanishing imaginary part")
         return Polynomial([c.real for c in acc], zero_darga=n)
+
+
+def _cayley_float(coeffs):
+    """(x + i)^n f((x - i)/(x + i)) for mpf or mpc ``coeffs`` of f, n = len - 1.
+
+    Complex coefficients; each caller checks the imaginary residue itself.
+    The binomial products are Gaussian integers, exact at any precision in use.
+    """
+    n = len(coeffs) - 1
+    minus, plus = [[1]], [[1]]  # powers of x - i and of x + i
+    for _ in range(n):
+        minus.append(rp.mul(minus[-1], [mpmath.mpc(0, -1), 1]))
+        plus.append(rp.mul(plus[-1], [mpmath.mpc(0, 1), 1]))
+    acc = [mpmath.mpc(0)] * (n + 1)
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            for i, t in enumerate(rp.mul(minus[k], plus[n - k])):
+                acc[i] += c * t
+    return acc
 
 
 def hecke(q: Polynomial) -> Polynomial:
@@ -268,166 +261,108 @@ def gcd_xn1(p: Polynomial) -> Polynomial:
     _require_trim_si(p)
     n = p.darga
     if p.is_exact and p.is_real:
-        xn1 = [Fraction(0)] * (n + 1)
-        xn1[0] = Fraction(1)
-        xn1[n] = Fraction(1)
-        g = rp.gcd(to_fraction_coeffs(p), xn1)
+        g = rp.gcd(to_fraction_coeffs(p), to_fraction_coeffs(x_pow_n_plus_1(n)))
         return Polynomial(g, zero_darga=0)
     bits = 2 * default_precision()
     with working_precision(bits):
-        thresh = GCD_REL_TOL * (1 + as_mpf(p.norm1()))
-        rem = [mpmath.mpc(as_mpf(a), as_mpf(b))
-               for a, b in (p.coeff(k) for k in range(n + 1))]
+        thresh = GCD_REL_TOL * as_mpf(p.norm1())
+        rem = p.mpc_coeffs()
+        one = mpmath.mpf(1)
         factors = []
         if n % 2 == 1:
-            factors.append(([mpmath.mpf(1), mpmath.mpf(1)], mpmath.mpc(-1)))
+            factors.append(([one, one], mpmath.mpc(-1)))
         for k in range(n // 2):
             c = mpmath.cospi(mpmath.mpf(2 * k + 1) / n)
             z = mpmath.expjpi(mpmath.mpf(2 * k + 1) / n)
-            factors.append(([mpmath.mpf(1), -2 * c, mpmath.mpf(1)], z))
-        g = [mpmath.mpf(1)]
-
-        def div_by(coeffs, f):
-            quo, cur = [], list(coeffs)
-            df = len(f) - 1
-            for i in range(len(cur) - 1, df - 1, -1):
-                c = cur[i]
-                quo.append(c)
-                for t in range(df + 1):
-                    cur[i - df + t] -= c * f[t]
-            quo.reverse()
-            return quo
-
-        def eval_at(coeffs, z):
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * z + c
-            return acc
-
+            factors.append(([one, -2 * c, one], z))
+        g = [one]
         for f, z in factors:
-            while len(rem) - 1 >= len(f) - 1 and abs(eval_at(rem, z)) < thresh:
-                rem = div_by(rem, f)
-                gre = [mpmath.mpf(c) for c in g]
-                g = [mpmath.mpf(0)] * (len(gre) + len(f) - 1)
-                for i, a in enumerate(gre):
-                    for t, b in enumerate(f):
-                        g[i + t] += a * b
+            while len(rem) >= len(f) and abs(rp.evaluate(rem, z)) < thresh:
+                rem = rp.divmod_exact(rem, f)[0]
+                g = rp.mul(g, f)
         return Polynomial(g, zero_darga=len(g) - 1)
 
 
-def _alpha_pair_exact(p: Polynomial, g: Polynomial):
-    """q = q0 + alpha q1 with q = (p + alpha (x^n+1)) / g, exact track."""
-    n = p.darga
-    xn1 = [Fraction(0)] * (n + 1)
-    xn1[0] = Fraction(1)
-    xn1[n] = Fraction(1)
-    gc = to_fraction_coeffs(g)
-    q0 = rp.div_exact(to_fraction_coeffs(p), gc)
-    q1 = rp.div_exact(xn1, gc)
-    return q0, q1
+def _alpha_pair(p: Polynomial):
+    """q0, q1 with (p + alpha (x^n + 1)) / gcd(p, x^n + 1) = q0 + alpha q1.
 
-
-def _alpha_pair_float(p: Polynomial, g: Polynomial, bits: int):
-    n = p.darga
-    with working_precision(bits):
-        gc = [as_mpf(c) for c in g.real_coeffs()]
-        xn1 = [mpmath.mpc(0)] * (n + 1)
-        xn1[0] = mpmath.mpc(1)
-        xn1[n] = mpmath.mpc(1)
-        pc = [mpmath.mpc(as_mpf(a), as_mpf(b))
-              for a, b in (p.coeff(k) for k in range(n + 1))]
-
-        def divf(num):
-            cur = list(num)
-            df = len(gc) - 1
-            quo = [mpmath.mpc(0)] * (len(cur) - df)
-            for i in range(len(cur) - 1, df - 1, -1):
-                c = cur[i] / gc[-1]
-                quo[i - df] = c
-                for t in range(df + 1):
-                    cur[i - df + t] -= c * gc[t]
-            return quo
-
-        if len(gc) == 1:
-            q0, q1 = [c / gc[0] for c in pc], [c / gc[0] for c in xn1]
-        else:
-            q0, q1 = divf(pc), divf(xn1)
-        if p.is_real:
-            q0 = [c.real for c in q0]
-            q1 = [c.real for c in q1]
-        return q0, q1
+    Exact on the exact real track, mpf or mpc at twice the default precision
+    otherwise.  q0 is zero-padded to the length of q1, the family's x-degree
+    plus one.
+    """
+    g = gcd_xn1(p)
+    xn1 = to_fraction_coeffs(x_pow_n_plus_1(p.darga))
+    if p.is_exact and p.is_real:
+        gc = to_fraction_coeffs(g)
+        q0, q1 = rp.div_exact(to_fraction_coeffs(p), gc), rp.div_exact(xn1, gc)
+    else:
+        with working_precision(2 * default_precision()):
+            gc = [as_mpf(c) for c in g.re]
+            pc = [as_mpf(c) for c in p.re] if p.is_real else p.mpc_coeffs()
+            q0 = rp.divmod_exact(pc, gc)[0]
+            q1 = rp.divmod_exact([as_mpf(c) for c in xn1], gc)[0]
+    return q0 + [0 * q1[-1]] * (len(q1) - len(q0)), q1
 
 
 # -- alpha-discriminant machinery --------------------------------------------
 
-def _resultant_alpha_exact(q0, q1):
-    """Res_x(q, dq/dx) as an exact alpha-polynomial (up to a constant factor).
+def _resultant_alpha_exact(f0, f1):
+    """Res_x(f, df/dx) for f = f0 + alpha f1 as an exact alpha-polynomial.
 
-    q = q0 + alpha q1 with rational coefficient lists; evaluated at integer
-    samples where the x-degree does not drop, then interpolated exactly.
+    f0 and f1 are rational lists of one length d + 1.  The resultant is
+    sampled at integers alpha where the x-degree does not drop and
+    interpolated exactly; clearing a common denominator first scales it by
+    a positive constant.
     """
-    d = max(rp.degree(q0), rp.degree(q1))
-    if d < 1:
-        return []
-    # common denominator clearing so every sample sees the same constant scaling
-    m0 = rp.clear_denominators(list(q0) + list(q1))[1]
-    i0 = [int(Fraction(c) * m0) for c in list(q0) + [Fraction(0)] * (d + 1 - len(q0))]
-    i1 = [int(Fraction(c) * m0) for c in list(q1) + [Fraction(0)] * (d + 1 - len(q1))]
-    target_deg = 2 * d - 1
+    d = len(f1) - 1
+    ints = rp.clear_denominators(list(f0) + list(f1))[0]
+    i0, i1 = ints[:d + 1], ints[d + 1:]
     xs, ys = [], []
     a = 1
-    while len(xs) < target_deg + 1:
-        qa = [i0[k] + a * i1[k] for k in range(d + 1)]
-        if qa[d] != 0:
-            da = rp.derivative(qa)
+    while len(xs) < 2 * d:
+        fa = [i0[k] + a * i1[k] for k in range(d + 1)]
+        if fa[d] != 0:
             xs.append(a)
-            ys.append(rp.resultant_int(qa, da))
+            ys.append(rp.resultant_int(fa, rp.derivative(fa)))
         a += 1
     return rp.newton_interpolate(xs, ys)
 
 
-def _resultant_alpha_float(q0, q1, bits: int):
-    """Floating fallback: numeric Sylvester determinants plus interpolation."""
+def _resultant_alpha_float(f0, f1, bits: int):
+    """Floating counterpart: numeric Sylvester determinants, interpolated."""
     with working_precision(bits):
-        d = max(len(q0), len(q1)) - 1
-        q0 = list(q0) + [mpmath.mpf(0)] * (d + 1 - len(q0))
-        q1 = list(q1) + [mpmath.mpf(0)] * (d + 1 - len(q1))
-        if d < 1:
-            return []
-        target_deg = 2 * d - 1
+        d = len(f1) - 1
         xs, ys = [], []
         a = 1
-        while len(xs) < target_deg + 1:
-            qa = [q0[k] + a * q1[k] for k in range(d + 1)]
-            scale = max(abs(c) for c in qa)
-            if abs(qa[d]) > mpmath.mpf(2) ** (-(bits // 2)) * (1 + scale):
-                da = [k * qa[k] for k in range(1, d + 1)]
-                rows = rp.sylvester_matrix(qa, da)
-                ys.append(mpmath.det(mpmath.matrix(rows)))
+        while len(xs) < 2 * d:
+            fa = [f0[k] + a * f1[k] for k in range(d + 1)]
+            scale = max(abs(c) for c in fa)
+            if abs(fa[d]) > mpmath.mpf(2) ** (-(bits // 2)) * (1 + scale):
+                rows = rp.sylvester_matrix(fa, rp.derivative(fa))
+                # det gives the int 0 for a singular matrix
+                ys.append(mpmath.mpmathify(mpmath.det(mpmath.matrix(rows))))
                 xs.append(a)
             a += 1
-        # exact Newton interpolation on mpf values
-        n = len(xs)
-        coef = list(ys)
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-        poly = [mpmath.mpf(0)]
-        for i in range(n - 1, -1, -1):
-            poly = _mpf_poly_mul_linear(poly, -xs[i])
-            poly[0] += coef[i]
-        while poly and abs(poly[-1]) == 0:
-            poly.pop()
-        return poly
+        return rp.newton_interpolate(xs, ys)
 
 
-def _mpf_poly_mul_linear(poly, c):
-    """poly * (x + c) over mpf coefficients."""
-    out = [mpmath.mpf(0)] * (len(poly) + 1)
-    for i, a in enumerate(poly):
-        out[i] += a * c
-        out[i + 1] += a
-    return out
+def _alpha_discriminant(p: Polynomial):
+    """Disc_x(p_alpha / gcd(p, x^n + 1)) in alpha, up to a constant factor.
+
+    Exact on the exact real track, where the factor alpha that the leading
+    x-coefficient alpha q1[d] contributes is divided out; mpf or mpc at twice
+    the default precision otherwise.
+    """
+    q0, q1 = _alpha_pair(p)
+    if p.is_exact and p.is_real:
+        disc = _resultant_alpha_exact(q0, q1)
+        if disc and disc[0] == 0:
+            disc = rp.div_exact(disc, [0, 1])
+    else:
+        disc = _resultant_alpha_float(q0, q1, 2 * default_precision())
+    if not disc:
+        raise InternalInconsistency("alpha-discriminant vanished identically")
+    return disc
 
 
 def _largest_real_root_float(coeffs, bits: int):
@@ -442,25 +377,18 @@ def _largest_real_root_float(coeffs, bits: int):
                              for c in coeffs)
         if complex_coeffs:
             return best
-        der = [k * coeffs[k] for k in range(1, len(coeffs))]
+        der = rp.derivative(coeffs)
         x = best
         for _ in range(4):
-            fx = _mpf_eval(coeffs, x)
-            dx = _mpf_eval(der, x)
+            fx = rp.evaluate(coeffs, x)
+            dx = rp.evaluate(der, x)
             if abs(dx) > 0:
                 step = fx / dx
                 if abs(step) < 1 + abs(x):
                     x = x - step
-        if abs(_mpf_eval(coeffs, x)) <= abs(_mpf_eval(coeffs, best)):
+        if abs(rp.evaluate(coeffs, x)) <= abs(rp.evaluate(coeffs, best)):
             best = x
         return best
-
-
-def _mpf_eval(coeffs, x):
-    acc = mpmath.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _max_over_candidates(cands, root_info, disc_poly):
@@ -536,15 +464,15 @@ def _newton_polish(coeffs, seed: complex, bits: int):
     lies far closer than CERT_CLUSTER_TOL to it.
     """
     with working_precision(bits):
-        der = [k * coeffs[k] for k in range(1, len(coeffs))]
+        der = rp.derivative(coeffs)
         z = mpmath.mpc(seed)
         tol = mpmath.mpf(2) ** (-(bits // 2))
         last = False  # quadratic convergence: one step past tol is full precision
         for _ in range(POLISH_MAX_STEPS):
-            df = _mpf_eval(der, z)
+            df = rp.evaluate(der, z)
             if df == 0:
                 return None
-            step = _mpf_eval(coeffs, z) / df
+            step = rp.evaluate(coeffs, z) / df
             z -= step
             if last:
                 break
@@ -621,14 +549,10 @@ def _certs_for(p: Polynomial, value) -> tuple:
     n = p.darga
     with working_precision(bits):
         alpha = as_mpf(value)
-        coeffs = []
-        for k in range(n + 1):
-            a, b = p.coeff(k)
-            c = mpmath.mpc(as_mpf(a), as_mpf(b))
-            if k == 0 or k == n:
-                c = c + alpha
-            coeffs.append(c)
-        dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
+        coeffs = p.mpc_coeffs(n + 1)
+        coeffs[0] += alpha
+        coeffs[n] += alpha
+        dcoeffs = rp.derivative(coeffs)
         scale = sum(abs(c) for c in coeffs)
     if p.is_exact and p.is_real and isinstance(value, Fraction):
         droots = all_roots(_double_root_factor(p, value, bits), bits)
@@ -642,10 +566,7 @@ def _certs_for(p: Polynomial, value) -> tuple:
         for z in droots:
             if abs(abs(z) - 1) > CERT_CLUSTER_TOL:
                 continue
-            val = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                val = val * z + c
-            if abs(val) > tol_p:
+            if abs(rp.evaluate(coeffs, z)) > tol_p:
                 continue
             z = z / abs(z)
             if p.is_real and z.imag < 0:
@@ -659,35 +580,18 @@ def _certs_for(p: Polynomial, value) -> tuple:
 def circle_number(p: Polynomial) -> CircleResult:
     """Discriminant route: largest real root of Disc_x(p_alpha / gcd(p, x^n+1))."""
     _require_trim_si(p)
-    n = p.darga
+    disc = _alpha_discriminant(p)
     if p.is_exact and p.is_real:
-        g = gcd_xn1(p)
-        q0, q1 = _alpha_pair_exact(p, g)
-        res = _resultant_alpha_exact(q0, q1)
-        if not rp.strip(res):
-            raise InternalInconsistency("alpha-discriminant vanished identically")
-        disc = rp.div_exact(res, [Fraction(0), Fraction(1)]) if res[0] == 0 else res
         root = rr.largest_real_root(disc)
-        if root is None:
-            raise InternalInconsistency("discriminant has no real root; "
-                                        "the theorem guarantees one")
-        value = _max_over_candidates([], root, disc)
-        certs = _certs_for(p, value)
-        return CircleResult(value, certs, "discriminant", tuple(_normalize_disc(disc)))
-    bits = 2 * default_precision()
-    g = gcd_xn1(p)
-    with working_precision(bits):
-        q0, q1 = _alpha_pair_float(p, g, bits)
-        # complex coefficients are possible for self-inversive input
-        disc = _resultant_alpha_float(q0, q1, bits)
-        if not disc:
-            raise InternalInconsistency("alpha-discriminant vanished identically")
-        value = _largest_real_root_float(disc, bits)
-        if value is None:
-            raise InternalInconsistency("discriminant has no real root; "
-                                        "the theorem guarantees one")
-    certs = _certs_for(p, value)
-    return CircleResult(value, certs, "discriminant", tuple(disc))
+        value = None if root is None else _max_over_candidates([], root, disc)
+        disc_poly = _normalize_disc(disc)
+    else:
+        value = _largest_real_root_float(disc, 2 * default_precision())
+        disc_poly = disc
+    if value is None:
+        raise InternalInconsistency("discriminant has no real root; "
+                                    "the theorem guarantees one")
+    return CircleResult(value, _certs_for(p, value), "discriminant", tuple(disc_poly))
 
 
 def _normalize_disc(disc):
@@ -704,81 +608,45 @@ def circle_number_palindromic(p: Polynomial) -> CircleResult:
     _require_trim_si(p)
     if not p.is_palindromic():
         raise NotSelfInversive("the halved route needs palindromic input")
-    n = p.darga
-    if p.is_exact:
-        pc = to_fraction_coeffs(p) + [Fraction(0)] * (n + 1 - len(p.re))
-        r1 = -rp.evaluate(pc, Fraction(1)) / 2
-        if n % 2 == 0:
-            r2 = -rp.evaluate(pc, Fraction(-1)) / 2
-        else:
-            r2 = -rp.evaluate(rp.derivative(pc), Fraction(-1)) / Fraction(n)
-        g = gcd_xn1(p)
-        q0, q1 = _alpha_pair_exact(p, g)
-        d = max(rp.degree(q0), rp.degree(q1))
-        s0 = cayley_exact(list(q0) + [Fraction(0)] * (d + 1 - len(q0)), None, 1)
-        s1 = cayley_exact(list(q1) + [Fraction(0)] * (d + 1 - len(q1)), None, 1)
-        h0 = [s0[2 * j] for j in range(len(s0) // 2 + 1)] if s0 else []
-        h1 = [s1[2 * j] for j in range(len(s1) // 2 + 1)] if s1 else []
-        disc = _hecke_disc_exact(h0, h1)
-        root = rr.largest_real_root(disc) if rp.strip(disc) else None
-        value = _max_over_candidates([r1, r2], root, disc)
-        certs = _certs_for(p, value)
-        return CircleResult(value, certs, "hecke", tuple(_normalize_disc(disc)))
     bits = 2 * default_precision()
     with working_precision(bits):
-        r1 = -_eval_float(p, mpmath.mpf(1)) / 2
-        if n % 2 == 0:
-            r2 = -_eval_float(p, mpmath.mpf(-1)) / 2
-        else:
-            r2 = -_eval_float(p.derivative(), mpmath.mpf(-1)) / n
-        g = gcd_xn1(p)
-        q0, q1 = _alpha_pair_float(p, g, bits)
-        s0 = _cayley_float_real(q0, bits)
-        s1 = _cayley_float_real(q1, bits)
-        h0 = [s0[2 * j] for j in range(len(s0) // 2 + 1)] if s0 else []
-        h1 = [s1[2 * j] for j in range(len(s1) // 2 + 1)] if s1 else []
-        dh = max(len(h0), len(h1)) - 1
-        disc = _resultant_alpha_float(h0, h1, bits) if dh >= 2 else []
-        r3 = _largest_real_root_float(disc, bits) if disc else None
-        value = max([v for v in (r1, r2, r3) if v is not None])
-    certs = _certs_for(p, value)
-    return CircleResult(value, certs, "hecke", tuple(disc))
+        cands = list(_endpoint_candidates(p).values())
+    q0, q1 = _alpha_pair(p)
+    if p.is_exact:
+        h0, h1 = (cayley_exact(q, None, 1)[::2] for q in (q0, q1))
+    else:
+        h0, h1 = (_cayley_float_real(q, bits)[::2] for q in (q0, q1))
+    d = max(len(h0), len(h1)) - 1
+    h0, h1 = (h + [0] * (d + 1 - len(h)) for h in (h0, h1))
+    if p.is_exact:
+        disc = _resultant_alpha_exact(h0, h1) if d >= 2 else []
+        if disc and rp.degree([h0[d], h1[d]]) >= 1:
+            disc = rp.div_exact(disc, [h0[d], h1[d]])  # Res_x(h, h') = +-lc(h) Disc_x(h)
+        root = rr.largest_real_root(disc) if disc else None
+        value = _max_over_candidates(cands, root, disc)
+        disc_poly = _normalize_disc(disc)
+    else:
+        disc = _resultant_alpha_float(h0, h1, bits) if d >= 2 else []
+        root = _largest_real_root_float(disc, bits) if disc else None
+        value = max(v for v in cands + [root] if v is not None)
+        disc_poly = disc
+    return CircleResult(value, _certs_for(p, value), "hecke", tuple(disc_poly))
 
 
-def _eval_float(p: Polynomial, x):
-    acc = mpmath.mpf(0)
-    for k in range(len(p.re) - 1, -1, -1):
-        acc = acc * x + as_mpf(p.coeff(k)[0])
-    return acc
+def _endpoint_candidates(p: Polynomial) -> dict:
+    """-p(1)/2, and -p(-1)/2 (n even) or -p'(-1)/n (n odd), on p's track.
 
-
-def _hecke_disc_exact(h0, h1):
-    """Disc_x(h) for h = h0 + alpha h1 over Q, up to a constant factor.
-
-    The resultant Res_x(h, h') is sampled at integers, interpolated exactly,
-    then divided by the (alpha-linear) leading coefficient; the quotient is
-    the discriminant polynomial.
+    Floating values take the ambient precision.
     """
-    d = max(rp.degree(h0), rp.degree(h1))
-    if d < 2:
-        return []
-    m = rp.clear_denominators(list(h0) + list(h1))[1]
-    i0 = [int(Fraction(c) * m) for c in list(h0) + [Fraction(0)] * (d + 1 - len(h0))]
-    i1 = [int(Fraction(c) * m) for c in list(h1) + [Fraction(0)] * (d + 1 - len(h1))]
-    target = 2 * d - 1
-    xs, ys = [], []
-    a = 1
-    while len(xs) < target + 1:
-        ha = [i0[k] + a * i1[k] for k in range(d + 1)]
-        if ha[d] != 0:
-            xs.append(a)
-            ys.append(rp.resultant_int(ha, rp.derivative(ha)))
-        a += 1
-    res = rp.newton_interpolate(xs, ys)
-    lead = rp.strip([Fraction(i0[d]), Fraction(i1[d])])
-    if rp.degree(lead) >= 1 and rp.strip(res):
-        return rp.div_exact(res, lead)
-    return res
+    n = p.darga
+    conv = (lambda c: c) if p.is_exact else as_mpf
+    out = {"at_one": -rp.evaluate([conv(c) for c in p.re], 1) / 2}
+    if n % 2 == 0:
+        out["at_minus_one"] = -rp.evaluate([conv(c) for c in p.re], -1) / 2
+    else:
+        der = [conv(c) for c in rp.derivative(list(p.re))]
+        out["derivative_at_minus_one"] = -rp.evaluate(der, -1) / n
+    return out
 
 
 def _cayley_float_real(q, bits: int):
@@ -789,55 +657,26 @@ def _cayley_float_real(q, bits: int):
     """
     with working_precision(bits):
         n = len(q) - 1
-        if n < 0:
-            return []
         sym_dev = max((abs(q[k] - q[n - k]) for k in range(n + 1)),
                       default=mpmath.mpf(0))
-        mi = [mpmath.mpc(0, -1), mpmath.mpc(1)]
-        pl = [mpmath.mpc(0, 1), mpmath.mpc(1)]
-
-        def nmul(a, b):
-            out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for k, y in enumerate(b):
-                    out[i + k] += x * y
-            return out
-
-        mp_list = [[mpmath.mpc(1)]]
-        pp_list = [[mpmath.mpc(1)]]
-        for _ in range(n):
-            mp_list.append(nmul(mp_list[-1], mi))
-            pp_list.append(nmul(pp_list[-1], pl))
-        acc = [mpmath.mpc(0)] * (n + 1)
-        for k in range(n + 1):
-            c = q[k]
-            if c == 0:
-                continue
-            term = nmul(mp_list[k], pp_list[n - k])
-            for i, t in enumerate(term):
-                acc[i] += c * t
+        acc = _cayley_float(q)
         scale = max((abs(c) for c in acc), default=mpmath.mpf(0))
         eps = (scale * mpmath.mpf(2) ** (-(bits - 48))
                + sym_dev * mpmath.mpf(4) ** n * (n + 1)
                + mpmath.mpf(2) ** (-(bits - 8)))
         if any(abs(c.imag) > eps for c in acc):
             raise InternalInconsistency("Cayley image has a nonvanishing imaginary part")
-        out = [c.real for c in acc]
-        while out and abs(out[-1]) == 0:
-            out.pop()
-        return out
+        return rp.strip([c.real for c in acc])
 
 
 def alpha_family_reduced(p: Polynomial):
     """The family q(alpha, x) = (alpha (x^n+1) + p) / gcd(p, x^n+1), exact track."""
     from .polycore import AlphaPolynomial
     _require_trim_si(p)
-    g = gcd_xn1(p)
-    q0, q1 = _alpha_pair_exact(p, g)
-    d = max(rp.degree(q0), rp.degree(q1))
-    return AlphaPolynomial(p.darga,
-                           tuple(q0 + [Fraction(0)] * (d + 1 - len(q0))),
-                           tuple(q1 + [Fraction(0)] * (d + 1 - len(q1))))
+    if not (p.is_exact and p.is_real):
+        raise NotSupported("the reduced family is built on the exact rational track")
+    q0, q1 = _alpha_pair(p)
+    return AlphaPolynomial(p.darga, tuple(q0), tuple(q1))
 
 
 def cayley_alpha(ap, omega_sign: int = 1):
@@ -871,26 +710,12 @@ def cn_lower_bounds(p: Polynomial) -> dict:
         best = max(abs(Fraction(p.coeff(k)[0])) / binomial(n, k) for k in range(1, n))
     else:
         with working_precision():
-            best = max(abs(mpmath.mpc(as_mpf(p.coeff(k)[0]), as_mpf(p.coeff(k)[1])))
-                       / binomial(n, k) for k in range(1, n))
+            coeffs = p.mpc_coeffs(n)
+            best = max(abs(coeffs[k]) / binomial(n, k) for k in range(1, n))
     out["binomial"] = best
     if p.is_palindromic():
-        if p.is_exact:
-            pc = to_fraction_coeffs(p) + [Fraction(0)] * (n + 1 - len(p.re))
-            out["at_one"] = -rp.evaluate(pc, Fraction(1)) / 2
-            if n % 2 == 0:
-                out["at_minus_one"] = -rp.evaluate(pc, Fraction(-1)) / 2
-            else:
-                out["derivative_at_minus_one"] = \
-                    -rp.evaluate(rp.derivative(pc), Fraction(-1)) / Fraction(n)
-        else:
-            with working_precision():
-                out["at_one"] = -_eval_float(p, mpmath.mpf(1)) / 2
-                if n % 2 == 0:
-                    out["at_minus_one"] = -_eval_float(p, mpmath.mpf(-1)) / 2
-                else:
-                    out["derivative_at_minus_one"] = \
-                        -_eval_float(p.derivative(), mpmath.mpf(-1)) / n
+        with working_precision():
+            out.update(_endpoint_candidates(p))
     return out
 
 
@@ -1014,31 +839,17 @@ def _twocerts_witness(p: Polynomial, certs):
 
 def _double_root_at_il(p: Polynomial, res) -> bool:
     """Discriminant test at alpha = il(p)."""
+    disc = _alpha_discriminant(p)
     if p.is_exact:
         rational, value = is_interlace_rational(p)
-        g = gcd_xn1(p)
-        q0, q1 = _alpha_pair_exact(p, g)
-        resal = _resultant_alpha_exact(q0, q1)
-        disc = rp.div_exact(resal, [Fraction(0), Fraction(1)]) if resal and resal[0] == 0 \
-            else resal
         if rational:
             return rp.evaluate(disc, value) == 0
-        with working_precision(2 * default_precision()):
-            il = res.value
-            scale = max(abs(as_mpf(c)) * abs(il) ** k for k, c in enumerate(disc))
-            val = mpmath.mpf(0)
-            for k in range(len(disc) - 1, -1, -1):
-                val = val * il + as_mpf(disc[k])
-            return abs(val) < EXACT_REL_TOL * (1 + scale)
-    bits = 2 * default_precision()
-    g = gcd_xn1(p)
-    q0, q1 = _alpha_pair_float(p, g, bits)
-    disc = _resultant_alpha_float(q0, q1, bits)
-    with working_precision(bits):
+    with working_precision(2 * default_precision()):
         il = as_mpf(res.value)
+        if p.is_exact:
+            disc = [as_mpf(c) for c in disc]
         scale = max(abs(c) * abs(il) ** k for k, c in enumerate(disc))
-        val = _mpf_eval(disc, il)
-        return abs(val) < EXACT_REL_TOL * (1 + scale)
+        return abs(rp.evaluate(disc, il)) < EXACT_REL_TOL * (1 + scale)
 
 
 def bounding_error(p: Polynomial):

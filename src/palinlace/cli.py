@@ -5,7 +5,8 @@ full-precision decimal ``repr`` and, when the value is exactly rational, an
 exact ``rational`` string, so results like 23/3 survive serialisation.
 Exit codes: 0 ok, 2 input error (with a machine-readable error object on
 stdout), 3 internal inconsistency (a theorem-guaranteed object could not
-be produced numerically).
+be produced numerically) or any other unexpected exception, with the same
+error object on stdout and the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from .errors import (
     OracleFailure,
     PalinlaceError,
 )
-from .families import FamilySpec
+from .families import FamilySpec, random_trim_palindromic
 from .interlace import bound_ladder, interlace_number, is_interlace_rational
 from .polycore import (
     Polynomial,
@@ -266,21 +268,6 @@ def cmd_dynamics(args) -> int:
     return 0
 
 
-def _random_trim_palindromic(rng: random.Random, darga: int) -> Polynomial:
-    from .polycore import SigmaRep, poly_of
-    half = darga // 2
-    while True:
-        sigma = [Fraction(0)]
-        for _ in range(half):
-            num = rng.randint(-20, 20)
-            den = rng.choice([1, 1, 1, 2, 3])
-            sigma.append(Fraction(num, den))
-        if any(sigma):
-            break
-    hat = tuple([Fraction(0)] * ((darga - 1) // 2 + 1))
-    return poly_of(SigmaRep(darga, tuple(sigma), hat))
-
-
 def _scan_row(index: int, p: Polynomial) -> list:
     il = interlace_number(p)
     rational, value = is_interlace_rational(p)
@@ -311,7 +298,7 @@ def cmd_scan(args) -> int:
     if args.inject:
         for chunk in args.inject.split(";"):
             polys.append(parse_coeff_text(chunk))
-    polys += [_random_trim_palindromic(rng, args.darga)
+    polys += [random_trim_palindromic(rng, args.darga)
               for _ in range(args.count)]
     sys.stdout.write(f"# palinlace scan v{__version__} seed={args.seed} "
                      f"darga={args.darga} columns={','.join(CSV_COLUMNS)}\n")
@@ -405,13 +392,18 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InternalInconsistency, OracleFailure) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return 3
+        return _error_object(exc, 3)
     except (PalinlaceError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return 2
+        return _error_object(exc, 2)
+    except Exception as exc:  # the CLI's boundary: answer, never a bare traceback
+        traceback.print_exc()
+        return _error_object(exc, 3)
+
+
+def _error_object(exc: Exception, code: int) -> int:
+    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
+    sys.stdout.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import ratpoly as rp
 from . import realroots as rr
-from .circle import all_roots, gcd_xn1, _alpha_pair_exact
+from .circle import all_roots, alpha_family_reduced
 from .errors import NotSupported, NotTrim, EmptyPolynomial, NotSelfInversive
-from .polycore import AlphaPolynomial, Polynomial, as_mpf, to_fraction_coeffs
+from .polycore import AlphaPolynomial, Polynomial, as_mpf
 from .precision import default_precision, working_precision
 
 
@@ -128,12 +126,7 @@ def _validate(p: Polynomial):
 def alpha_profile(p: Polynomial) -> AlphaProfile:
     """Breakpoints and per-interval circle-rootedness of alpha -> p_alpha."""
     _validate(p)
-    n = p.darga
-    g = gcd_xn1(p)
-    q0, q1 = _alpha_pair_exact(p, g)
-    d = max(rp.degree(q0), rp.degree(q1))
-    ap = AlphaPolynomial(n, tuple(q0 + [Fraction(0)] * (d + 1 - len(q0))),
-                         tuple(q1 + [Fraction(0)] * (d + 1 - len(q1))))
+    ap = alpha_family_reduced(p)
     entries = subdiscriminant_sequence(ap)
     master = [Fraction(1)]
     for entry in entries:
@@ -143,7 +136,7 @@ def alpha_profile(p: Polynomial) -> AlphaProfile:
     bps = [Breakpoint(lo, hi, exact) for lo, hi, exact in rr.real_roots(master)]
 
     def q_at(alpha: Fraction):
-        return rp.add(q0, rp.scale(q1, alpha))
+        return rp.add(ap.const, rp.scale(ap.slope, alpha))
 
     def classify(alpha: Fraction):
         qa = q_at(alpha)
@@ -195,14 +188,9 @@ def root_trajectories(p: Polynomial, alphas):
     prev = None
     for alpha in alphas:
         with working_precision(bits):
-            coeffs = []
-            for k in range(n + 1):
-                a, b = p.coeff(k)
-                c = mpmath.mpc(as_mpf(a), as_mpf(b))
-                if k == 0 or k == n:
-                    c = c + as_mpf(alpha) if not isinstance(alpha, Fraction) \
-                        else c + mpmath.mpf(alpha.numerator) / alpha.denominator
-                coeffs.append(c)
+            coeffs = p.mpc_coeffs(n + 1)
+            coeffs[0] += as_mpf(alpha)
+            coeffs[n] += as_mpf(alpha)
         try:
             roots = all_roots(coeffs, bits)
         except Exception:

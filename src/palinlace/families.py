@@ -8,6 +8,7 @@ exact, the squared-factor witnesses are not).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -26,14 +27,16 @@ from .arith import (
 )
 from .circle import self_interlace_upper
 from .errors import InvalidParameter, TooLarge
-from .polycore import Polynomial, make_polynomial, trim_part, scalar_add, scalar_mul
+from .polycore import (Polynomial, SigmaRep, make_polynomial, poly_of, scalar_add,
+                       scalar_mul, trim_part)
 from .precision import (at_working_precision, default_precision,
                         working_precision)
 
 __all__ = [
     "geometric", "sigma_basis", "gcd_poly", "coprime_support", "fekete",
     "binomial_poly", "hadamard_binomial", "be_witness", "exact_family",
-    "two_interval", "cut_polynomial", "ly_threshold", "FamilySpec",
+    "two_interval", "cut_polynomial", "ly_threshold", "random_trim_palindromic",
+    "FamilySpec",
     "mobius", "euler_phi", "jordan_totient", "ramanujan_sum",
     "ramanujan_sum_bruteforce", "legendre_symbol",
 ]
@@ -247,6 +250,23 @@ def ly_threshold(n: int):
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+def random_trim_palindromic(rng: random.Random, darga: int) -> Polynomial:
+    """Random nonzero trim palindromic polynomial of the given darga.
+
+    Each sigma coefficient is a/b with a in -20..20 and b drawn from
+    1, 1, 1, 2, 3; ``palinlace scan`` rows and the tests draw from it.
+    """
+    half = darga // 2
+    while True:
+        sigma = [Fraction(0)] + [Fraction(rng.randint(-20, 20),
+                                          rng.choice([1, 1, 1, 2, 3]))
+                                 for _ in range(half)]
+        if any(sigma):
+            break
+    hat = tuple([Fraction(0)] * ((darga - 1) // 2 + 1))
+    return poly_of(SigmaRep(darga, tuple(sigma), hat))
 
 
 @dataclass(frozen=True)

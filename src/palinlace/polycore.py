@@ -148,6 +148,11 @@ class Polynomial:
             raise NotSelfInversive("polynomial has nonreal coefficients")
         return list(self.re)
 
+    def mpc_coeffs(self, length: int | None = None) -> list:
+        """Dense mpc coefficients from x^0 at the ambient precision, zero-padded."""
+        top = len(self.re) if length is None else length
+        return [mpmath.mpc(as_mpf(a), as_mpf(b)) for a, b in map(self.coeff, range(top))]
+
     @at_working_precision
     def norm1(self):
         total = Fraction(0) if self.is_exact else mpmath.mpf(0)
@@ -284,12 +289,7 @@ class Polynomial:
     def evaluate_complex(self, z, bits: int | None = None):
         """Float evaluation at an arbitrary complex point."""
         with working_precision(bits):
-            zz = mpmath.mpc(z)
-            acc = mpmath.mpc(0)
-            for j in range(len(self.re) - 1, -1, -1):
-                a, b = self.coeff(j)
-                acc = acc * zz + mpmath.mpc(as_mpf(a), as_mpf(b))
-            return acc
+            return rp.evaluate(self.mpc_coeffs(), mpmath.mpc(z))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -481,18 +481,9 @@ def unity_root(n: int, j: int):
 
 def unity_values_raw(p: Polynomial, indices, bits: int | None = None):
     """Complex values p(theta_n^j) for j in indices, one precision block."""
-    n = p.darga
-    out = []
     with working_precision(bits):
-        coeffs = [mpmath.mpc(as_mpf(a), as_mpf(b))
-                  for a, b in (p.coeff(j) for j in range(len(p.re)))]
-        for j in indices:
-            z = unity_root(n, j)
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * z + c
-            out.append(acc)
-    return out
+        coeffs = p.mpc_coeffs()
+        return [rp.evaluate(coeffs, unity_root(p.darga, j)) for j in indices]
 
 
 def eval_unity(p: Polynomial, n: int, j: int, bits: int | None = None):

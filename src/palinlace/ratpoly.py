@@ -1,9 +1,15 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Dense polynomial kernels, generic over the coefficient ring.
 
-Polynomials are dense lists of ``fractions.Fraction`` (or plain ``int``),
-coefficient of x^0 first.  Everything here is exact; the floating track
-lives elsewhere.  These kernels back the resultant/discriminant, Sturm and
-subdiscriminant machinery.
+Polynomials are dense coefficient lists, x^0 first.  The ring kernels
+(``strip``, ``add``, ``sub``, ``scale``, ``mul``, ``derivative``,
+``evaluate``, ``divmod_exact`` and ``newton_interpolate``) use only
+``+ - * /`` and accept ``int``, ``fractions.Fraction``, ``mpmath.mpf`` or
+``mpmath.mpc`` coefficients: exact on the first two, rounded at the
+ambient mpmath precision on the others.  Within one call Fractions must
+not meet mpmath numbers; ``divmod_exact`` and ``newton_interpolate`` read
+ints as Fractions.  The rest (gcd, square-free parts, resultants,
+determinants, subresultants) is exact over Q and backs the discriminant,
+Sturm and subdiscriminant machinery.
 """
 
 from __future__ import annotations
@@ -72,29 +78,38 @@ def derivative(p):
 
 
 def evaluate(p, x):
+    """p(x) by Horner's rule; mpf coefficients may be evaluated at an mpc point."""
     acc = 0
-    for c in reversed(strip(p)):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
+def _field(c):
+    """An int as a Fraction, so that division stays exact; else unchanged."""
+    return Fraction(c) if isinstance(c, int) else c
+
+
 def divmod_exact(num, den):
-    """Quotient and remainder over the field of fractions."""
+    """Quotient and remainder over the field of fractions of the ring.
+
+    The loop runs over the quotient positions rather than until the
+    leading term cancels, which it need not do exactly over mpf or mpc.
+    """
     den = strip(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    num = [Fraction(c) for c in strip(num)]
-    dlc = Fraction(den[-1])
+    num = [_field(c) for c in strip(num)]
+    dlc = _field(den[-1])
     dd = len(den) - 1
-    quo = [Fraction(0)] * max(len(num) - dd, 0)
-    while len(num) - 1 >= dd and num:
-        k = len(num) - 1 - dd
-        c = num[-1] / dlc
-        quo[k] = c
-        for i in range(len(den)):
-            num[k + i] -= c * den[i]
-        num = strip(num)
-    return strip(quo), num
+    quo = [0 * dlc] * max(len(num) - dd, 0)
+    for k in range(len(num) - 1 - dd, -1, -1):
+        c = num[k + dd] / dlc
+        if c != 0:
+            quo[k] = c
+            for i in range(dd + 1):
+                num[k + i] -= c * den[i]
+    return strip(quo), strip(num[:dd])
 
 
 def div_exact(num, den):
@@ -367,13 +382,17 @@ def subresultant_principal_coeffs(a, b):
 
 
 def newton_interpolate(xs, ys):
-    """Exact interpolating polynomial through (xs[i], ys[i]), ascending coeffs."""
+    """Interpolating polynomial through (xs[i], ys[i]), ascending coeffs.
+
+    Exact on int or Fraction samples at integer or rational nodes.
+    """
     n = len(xs)
-    coef = [Fraction(y) for y in ys]
+    coef = [_field(y) for y in ys]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / Fraction(xs[i] - xs[i - j])
-    poly = [Fraction(0)]
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = []
     for i in range(n - 1, -1, -1):
-        poly = add(mul(poly, [Fraction(-xs[i]), Fraction(1)]), [coef[i]])
+        poly = mul(poly, [-xs[i], 1]) or [0]
+        poly[0] += coef[i]
     return strip(poly)

@@ -106,18 +106,17 @@ def isolate_real_roots(f):
             step /= 3
         return x
 
-    def rec(lo, hi, n):
-        if n == 0:
-            return
+    # a work list, not recursion: huge coefficients need more bisections
+    # than the interpreter's stack allows
+    work = [(-bound, bound, total)]
+    while work:
+        lo, hi, n = work.pop()
         if n == 1:
             out.append((lo, hi))
-            return
-        mid = nudge_off_root((lo + hi) / 2, hi - lo)
-        nl = _variations_at(chain, lo) - _variations_at(chain, mid)
-        rec(lo, mid, nl)
-        rec(mid, hi, n - nl)
-
-    rec(-bound, bound, total)
+        elif n > 1:
+            mid = nudge_off_root((lo + hi) / 2, hi - lo)
+            nl = _variations_at(chain, lo) - _variations_at(chain, mid)
+            work += [(lo, mid, nl), (mid, hi, n - nl)]
     out.sort(key=lambda iv: iv[0])
     return out
 

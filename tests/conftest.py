@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
 
-from palinlace.polycore import Polynomial, SigmaRep, as_mpf, make_polynomial, poly_of
+from palinlace.polycore import Polynomial, as_mpf, make_polynomial
 from palinlace.precision import working_precision
 
 
@@ -20,18 +19,6 @@ def approx(x, y, tol="1e-9") -> bool:
 def rel_close(x, y, tol="1e-9") -> bool:
     with working_precision(256):
         return abs(as_mpf(x) - as_mpf(y)) <= mpmath.mpf(tol) * (1 + abs(as_mpf(y)))
-
-
-def random_trim_palindromic(rng: random.Random, darga: int) -> Polynomial:
-    half = darga // 2
-    while True:
-        sigma = [Fraction(0)] + [Fraction(rng.randint(-20, 20),
-                                          rng.choice([1, 1, 1, 2, 3]))
-                                 for _ in range(half)]
-        if any(sigma):
-            break
-    hat = tuple([Fraction(0)] * ((darga - 1) // 2 + 1))
-    return poly_of(SigmaRep(darga, tuple(sigma), hat))
 
 
 @pytest.fixture

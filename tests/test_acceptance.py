@@ -31,8 +31,9 @@ from palinlace.polycore import (
 )
 from palinlace.precision import working_precision
 from palinlace.smalldarga import darga4_numbers, darga5_numbers
+from palinlace.families import random_trim_palindromic
 
-from conftest import ge, random_trim_palindromic
+from conftest import ge
 
 
 def report(criterion, ok, detail=""):

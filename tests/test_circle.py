@@ -21,8 +21,9 @@ from palinlace.polycore import (
 )
 from palinlace.precision import default_precision, working_precision
 from palinlace import ratpoly as rp
+from palinlace.families import random_trim_palindromic
 
-from conftest import approx, ge, random_trim_palindromic
+from conftest import approx, ge
 
 
 def exact_disc(f):
@@ -118,6 +119,15 @@ class TestGcdWithXn1:
             p2 = Polynomial([0, -r2 + mpmath.mpf("1e-6"), mpmath.mpf(2), -r2 + mpmath.mpf("1e-6")])
         assert ci.gcd_xn1(p2).degree == 0
 
+    def test_float_track_threshold_is_relative(self):
+        # 1e-12 (x + x^2) = 1e-12 x (x + 1): only x + 1 divides x^3 + 1
+        with working_precision(128):
+            tiny = mpmath.mpf("1e-12")
+            p = Polynomial([0, tiny, tiny])
+        assert ci.gcd_xn1(p) == Polynomial([1, 1])
+        with working_precision(256):
+            assert abs(as_mpf(ci.circle_number(p).value) * 3 / tiny - 1) < mpmath.mpf("1e-20")
+
 
 class TestCircleNumber:
     def test_geometric_odd(self):
@@ -149,6 +159,16 @@ class TestCircleNumber:
         p = make_polynomial([80, 75, 73, 11, 2, 11, 73, 75, 80], offset=1)
         res = ci.circle_number(p)
         assert res.value == 68
+
+    def test_both_routes_at_huge_scale(self):
+        # Sturm isolation bisects about a thousand times here: once per
+        # factor of two between the coefficients and the root spacing
+        lam = Q(10) ** 300
+        p = make_polynomial([9, -18, 9], offset=1).scale(lam)
+        assert ci.circle_number_palindromic(p).value == 18 * lam
+        value = ci.circle_number(p).value
+        with working_precision(256):
+            assert abs(as_mpf(value) / as_mpf(18 * lam) - 1) < mpmath.mpf("1e-15")
 
     def test_self_inversive_complex(self):
         # (1+i)x + (1-i)x^2: trim self-inversive of darga 3

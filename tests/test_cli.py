@@ -63,6 +63,47 @@ class TestAnalyze:
         assert got is not None
         assert got == json.loads(floats)["bounds"]["monotonic_lower"]
 
+    @pytest.mark.parametrize("coeffs, pinned", [
+        # gcd(p, x^3 + 1) = x + 1, so the float division by it runs
+        ("1.0,1.0", {
+            "il": {"float": 0.5, "repr": "0.5", "rational": None},
+            "cn": {"float": 0.3333333333333333,
+                   "repr": "0.333333333333333333333333333333", "rational": None},
+            "circle_certs": [{"re": -1.0, "im": 0.0, "repr": "(-1.0 + 0.0j)"}],
+            "exact": {"exact": False, "route": "double_root_test", "witness": None}}),
+        ("50.0,86.0,99.0,86.0,50.0", {
+            "il": {"float": 67.5, "repr": "67.5", "rational": None},
+            "cn": {"float": 13.5, "repr": "13.5", "rational": None},
+            "circle_certs": [{"re": -1.0, "im": 1.245899368887196e-205,
+                              "repr": "(-1.0 + 1.245899368887195941938838e-205j)"}],
+            "exact": {"exact": False, "route": "double_root_test", "witness": None}}),
+        ("-1.2360679774997896964,6,6,-1.2360679774997896964", {
+            "il": {"float": 5.23606797749979,
+                   "repr": "5.23606797749978972998149193554", "rational": None},
+            "cn": {"float": 5.23606797749979,
+                   "repr": "5.23606797749978972998149193554", "rational": None},
+            "circle_certs": [{"re": 0.30901699437494745, "im": 0.9510565162951535,
+                              "repr": "(0.3090169943749474289111001 + "
+                                      "0.9510565162951535705539633j)"}],
+            "exact": {"exact": True, "route": "double_root_test", "witness": 1}}),
+    ])
+    def test_float_track_answers_pinned(self, coeffs, pinned):
+        code, out = run_cli(["analyze", "--canonical", f"--coeffs={coeffs}"])
+        assert code == 0
+        report = json.loads(out)
+        assert {key: report[key] for key in pinned} == pinned
+
+    def test_unexpected_exception_is_error_object(self, monkeypatch):
+        import palinlace.cli as cli
+
+        def fault(p):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "interlace_number", fault)
+        code, out = run_cli(["analyze", "--coeffs", "2,2"])
+        assert code == 3
+        assert json.loads(out) == {"error": "RuntimeError", "message": "injected fault"}
+
 
 class TestFamilyRoundTrip:
     def test_family_prints_parseable_text(self):

@@ -13,8 +13,9 @@ from palinlace.errors import NotSupported
 from palinlace.families import two_interval
 from palinlace.polycore import AlphaPolynomial, Polynomial, as_mpf, make_polynomial, p_alpha
 from palinlace.precision import working_precision
+from palinlace.families import random_trim_palindromic
 
-from conftest import ge, random_trim_palindromic
+from conftest import ge
 
 
 class TestSubdiscriminants:
@@ -87,12 +88,11 @@ class TestAlphaProfile:
                 assert abs(as_mpf(last.lo) - as_mpf(res.value)) < mpmath.mpf("1e-9")
 
     def test_counts_constant_inside_intervals(self, rng):
-        from palinlace.circle import _alpha_pair_exact, gcd_xn1
+        from palinlace.circle import _alpha_pair
         for _ in range(4):
             p = random_trim_palindromic(rng, rng.randint(3, 6))
             prof = dy.alpha_profile(p)
-            g = gcd_xn1(p)
-            q0, q1 = _alpha_pair_exact(p, g)
+            q0, q1 = _alpha_pair(p)
             for iv in prof.intervals:
                 if iv.is_point or iv.lo is None or iv.hi is None:
                     continue

@@ -10,8 +10,9 @@ from palinlace.errors import TooLarge
 from palinlace.interlace import interlace_number
 from palinlace.polycore import as_mpf, make_polynomial, sigma_of, unity_values_raw
 from palinlace.precision import working_precision
+from palinlace.families import random_trim_palindromic
 
-from conftest import ge, random_trim_palindromic
+from conftest import ge
 
 
 class TestFunctionals:

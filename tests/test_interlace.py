@@ -27,8 +27,9 @@ from palinlace.polycore import (
     zero_polynomial,
 )
 from palinlace.precision import working_precision
+from palinlace.families import random_trim_palindromic
 
-from conftest import approx, ge, random_trim_palindromic, rel_close
+from conftest import approx, ge, rel_close
 
 
 class TestInterlaceNumber:

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction as Q
 
+import mpmath
+import pytest
+
 from palinlace import ratpoly as rp
 from palinlace import realroots as rr
 
@@ -99,6 +102,45 @@ def test_newton_interpolation_exact():
     xs = [1, 2, 3, 4]
     ys = [rp.evaluate(target, x) for x in xs]
     assert rp.newton_interpolate(xs, ys) == target
+
+
+def test_newton_interpolation_of_int_samples_is_exact():
+    got = rp.newton_interpolate([1, 2, 3], [1, 2, 4])
+    assert got == [Q(1), Q(-1, 2), Q(1, 2)]
+    assert all(isinstance(c, Q) for c in got)
+
+
+def test_newton_interpolation_mpf():
+    with mpmath.workprec(128):
+        target = [mpmath.sqrt(2), -mpmath.pi, mpmath.mpf(1) / 3, mpmath.e]
+        xs = [1, 2, 3, 5]
+        got = rp.newton_interpolate(xs, [rp.evaluate(target, x) for x in xs])
+        assert len(got) == len(target)
+        assert all(abs(a - b) < mpmath.mpf("1e-32") for a, b in zip(got, target))
+
+
+@pytest.mark.parametrize("ring", [mpmath.mpf, lambda x: mpmath.mpc(x, x / 7)])
+def test_divmod_float_leading_term_need_not_cancel(ring):
+    with mpmath.workprec(128):
+        num = [ring(mpmath.mpf(c) / 3) for c in (2, -5, 7, 1, -4, 11)]
+        den = [ring(mpmath.mpf(c) / 7) for c in (3, -1, 5)]
+        # the premise: rounding leaves a residue in the leading position
+        assert num[-1] - (num[-1] / den[-1]) * den[-1] != 0
+        quo, rem = rp.divmod_exact(num, den)
+        assert len(quo) == len(num) - len(den) + 1
+        assert len(rem) == len(den) - 1
+        back = rp.add(rp.mul(quo, den), rem)
+        assert len(back) == len(num)
+        assert all(abs(a - b) < mpmath.mpf("1e-35") for a, b in zip(back, num))
+
+
+def test_evaluate_mpf_coefficients_at_mpc_point():
+    with mpmath.workprec(128):
+        p = [mpmath.mpf(2), -mpmath.mpf(1) / 3, mpmath.sqrt(5)]
+        z = mpmath.mpc("0.3", "-1.1")
+        got = rp.evaluate(p, z)
+        assert isinstance(got, mpmath.mpc)
+        assert abs(got - (p[0] + p[1] * z + p[2] * z * z)) < mpmath.mpf("1e-35")
 
 
 def test_subresultant_principal_coeffs_specialize():

@@ -31,8 +31,9 @@ from palinlace.polycore import (
     zero_polynomial,
 )
 from palinlace.precision import working_precision
+from palinlace.families import random_trim_palindromic
 
-from conftest import approx, ge, random_trim_palindromic
+from conftest import approx, ge
 
 
 class TestConstruction:
