@@ -35,7 +35,7 @@ from .errors import (
     NotTrim,
     OracleFailure,
 )
-from .interlace import interlace_number, is_interlace_rational
+from .interlace import interlace_number
 from .polycore import (
     Polynomial,
     as_mpf,
@@ -236,13 +236,14 @@ def choose_omega(p: Polynomial) -> int:
     """Index j maximising p(theta_n^j); guarantees a full-degree Cayley image."""
     _require_trim_si(p)
     n = p.darga
+    norm = p.norm1()
 
     def compute(bits):
         vals = unity_values_raw(p, range(n), bits)
         with working_precision(bits):
             reals = [v.real for v in vals]
             vmax = max(reals)
-            eps = mpmath.mpf("1e-9") * (1 + abs(vmax))
+            eps = mpmath.mpf("1e-9") * as_mpf(norm)
             return min(j for j, v in enumerate(reals) if v >= vmax - eps)
 
     j, _ = escalate(compute)
@@ -810,13 +811,17 @@ def is_exact(p: Polynomial) -> ExactnessVerdict:
     _require_trim_si(p)
     if not p.is_palindromic():
         raise NotSelfInversive("exactness is defined for palindromic input")
+    return _exactness(p, interlace_number(p))
+
+
+def _exactness(p: Polynomial, il) -> ExactnessVerdict:
+    """is_exact for trim palindromic p whose interlace result ``il`` is known."""
     n = p.darga
-    res = interlace_number(p)
-    if 0 in res.certs or (n % 2 == 0 and n // 2 in res.certs):
-        w = 0 if 0 in res.certs else n // 2
+    if 0 in il.certs or (n % 2 == 0 and n // 2 in il.certs):
+        w = 0 if 0 in il.certs else n // 2
         return ExactnessVerdict(True, "pofone_fast_path", w)
-    witness = _twocerts_witness(p, res.certs)
-    exact = _double_root_at_il(p, res)
+    witness = _twocerts_witness(p, il.certs)
+    exact = _double_root_at_il(p, il)
     return ExactnessVerdict(exact, "double_root_test", witness)
 
 
@@ -825,7 +830,7 @@ def _twocerts_witness(p: Polynomial, certs):
     n = p.darga
     sig = sigma_of(p).sigma
     with working_precision():
-        scale = sum(abs(as_mpf(c)) * n for c in sig[1:]) + 1
+        scale = sum(abs(as_mpf(c)) * n for c in sig[1:])
         for j in sorted(certs):
             if j == 0 or 2 * j == n:
                 continue
@@ -837,19 +842,21 @@ def _twocerts_witness(p: Polynomial, certs):
     return None
 
 
-def _double_root_at_il(p: Polynomial, res) -> bool:
-    """Discriminant test at alpha = il(p)."""
+def _double_root_at_il(p: Polynomial, il) -> bool:
+    """Discriminant test at alpha = il(p), exact when il is rational.
+
+    Otherwise the value at il is compared with the largest term of the sum,
+    which scales with the coefficients as the value does.
+    """
     disc = _alpha_discriminant(p)
-    if p.is_exact:
-        rational, value = is_interlace_rational(p)
-        if rational:
-            return rp.evaluate(disc, value) == 0
+    if il.rational is not None:
+        return rp.evaluate(disc, il.rational) == 0
     with working_precision(2 * default_precision()):
-        il = as_mpf(res.value)
+        x = as_mpf(il.value)
         if p.is_exact:
             disc = [as_mpf(c) for c in disc]
-        scale = max(abs(c) * abs(il) ** k for k, c in enumerate(disc))
-        return abs(rp.evaluate(disc, il)) < EXACT_REL_TOL * (1 + scale)
+        scale = max(abs(c) * abs(x) ** k for k, c in enumerate(disc))
+        return abs(rp.evaluate(disc, x)) <= EXACT_REL_TOL * scale
 
 
 def bounding_error(p: Polynomial):
@@ -857,17 +864,15 @@ def bounding_error(p: Polynomial):
     _require_trim_si(p)
     if not p.is_palindromic():
         raise NotSelfInversive("bounding error is defined for palindromic input")
-    cn_res = circle_number_palindromic(p)
-    il_exact = None
-    if p.is_exact:
-        rational, value = is_interlace_rational(p)
-        if rational:
-            il_exact = value
-    if il_exact is not None and isinstance(cn_res.value, Fraction):
-        return il_exact / cn_res.value - 1
-    il = interlace_number(p).value
+    return _bounding_error(interlace_number(p), circle_number_palindromic(p))
+
+
+def _bounding_error(il, cn):
+    """il/cn - 1 from the two results: a Fraction when both are rational."""
+    if il.rational is not None and isinstance(cn.value, Fraction):
+        return il.rational / cn.value - 1
     with working_precision():
-        return as_mpf(il) / as_mpf(cn_res.value) - 1
+        return as_mpf(il.value) / as_mpf(cn.value) - 1
 
 
 def be_upper_bound(n: int):

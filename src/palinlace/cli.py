@@ -33,7 +33,7 @@ from .errors import (
     PalinlaceError,
 )
 from .families import FamilySpec, random_trim_palindromic
-from .interlace import bound_ladder, interlace_number, is_interlace_rational
+from .interlace import bound_ladder, interlace_number
 from .polycore import (
     Polynomial,
     as_mpf,
@@ -95,15 +95,10 @@ def analysis_report(p: Polynomial, *, with_timings: bool = True) -> dict:
     t = time.perf_counter()
     il = interlace_number(p)
     timings["interlace_ms"] = 1000 * (time.perf_counter() - t)
-    il_value = _num(il.value)
     uncertainty = []
     if not il.certified:
         uncertainty.append("interlace cert set unstable under escalation")
-    if p.is_exact and p.is_palindromic():
-        rational, value = is_interlace_rational(p)
-        if rational:
-            il_value = _num(value)
-    report["il"] = il_value
+    report["il"] = _num(il.value if il.rational is None else il.rational)
     report["interlace_certs"] = sorted(il.certs)
     report["interlace_certified"] = il.certified
 
@@ -117,15 +112,11 @@ def analysis_report(p: Polynomial, *, with_timings: bool = True) -> dict:
     report["cn_method"] = cn.method
     report["circle_certs"] = [_cnum(z) for z in cn.certs]
 
-    with working_precision():
-        be = as_mpf(il.value) / as_mpf(cn.value) - 1
-        if isinstance(cn.value, Fraction) and il_value["rational"] is not None:
-            be = Fraction(il_value["rational"]) / cn.value - 1
-    report["be"] = _num(be)
+    report["be"] = _num(ci._bounding_error(il, cn))
 
     if p.is_palindromic():
         t = time.perf_counter()
-        verdict = ci.is_exact(p)
+        verdict = ci._exactness(p, il)
         timings["exactness_ms"] = 1000 * (time.perf_counter() - t)
         report["exact"] = {"exact": verdict.exact, "route": verdict.route,
                            "witness": verdict.witness}
@@ -270,22 +261,21 @@ def cmd_dynamics(args) -> int:
 
 def _scan_row(index: int, p: Polynomial) -> list:
     il = interlace_number(p)
-    rational, value = is_interlace_rational(p)
     cn = ci.circle_number_palindromic(p)
-    verdict = ci.is_exact(p)
+    verdict = ci._exactness(p, il)
     # one block at the configured precision: the row must not depend on
     # whatever precision another scan thread has set
     with working_precision(default_precision()):
-        be = as_mpf(il.value) / as_mpf(cn.value) - 1
+        be = ci._bounding_error(il, cn)
         return [
             str(index),
             str(p.darga),
             format_coeff_text(p),
             mpmath.nstr(il.value, 20),
-            format_scalar(value) if rational else "",
+            format_scalar(il.rational) if il.rational is not None else "",
             mpmath.nstr(as_mpf(cn.value), 20),
             format_scalar(cn.value) if isinstance(cn.value, Fraction) else "",
-            mpmath.nstr(be, 20),
+            mpmath.nstr(as_mpf(be), 20),
             "1" if verdict.exact else "0",
             " ".join(str(j) for j in sorted(il.certs)),
             " ".join(mpmath.nstr(z, 17) for z in cn.certs),

@@ -32,9 +32,11 @@ CERT_REL_TOL = mpmath.mpf("1e-9")
 
 @dataclass(frozen=True)
 class InterlaceResult:
-    value: object            # mpf (see is_interlace_rational for exact values)
+    value: object            # mpf, the certified maximum
     certs: frozenset         # indices j naming theta_n^j
     certified: bool          # cert set stable under precision escalation
+    rational: object = None  # Fraction when value meets a Ramanujan candidate
+                             # (exact palindromic input only), else None
 
 
 @dataclass(frozen=True)
@@ -56,27 +58,34 @@ def _require_trim_si(p: Polynomial):
         raise NotSelfInversive("interlace number needs self-inversive input")
 
 
-def _cert_indices(p: Polynomial) -> list[int]:
-    n = p.darga
-    return list(range(n // 2 + 1)) if p.is_palindromic() else list(range(n))
-
-
 def interlace_number(p: Polynomial) -> InterlaceResult:
-    """Certified value and cert set; ties resolved by precision escalation."""
+    """Certified value and cert set; ties resolved by precision escalation.
+
+    Ties and the match with the Ramanujan candidate that gives ``rational``
+    are judged relative to the 1-norm, so they do not change under scaling.
+    """
     _require_trim_si(p)
-    indices = _cert_indices(p)
+    palindromic = p.is_palindromic()
+    indices = list(range(p.darga // 2 + 1 if palindromic else p.darga))
+    norm = p.norm1()
 
     def compute(bits):
         vals = unity_values_raw(p, indices, bits)
         with working_precision(bits):
             halves = [-v.real / 2 for v in vals]
             vmax = max(halves)
-            eps = CERT_REL_TOL * (1 + abs(vmax))
+            eps = CERT_REL_TOL * as_mpf(norm)
             certs = frozenset(j for j, v in zip(indices, halves) if v >= vmax - eps)
             return vmax, certs
 
     (value, certs), certified = escalate(compute, key=lambda r: r[1])
-    return InterlaceResult(value, certs, certified)
+    rational = None
+    if palindromic and p.is_exact:
+        best = ramanujan_lower(p)
+        with working_precision():
+            if abs(value - as_mpf(best)) <= CERT_REL_TOL * as_mpf(norm):
+                rational = best
+    return InterlaceResult(value, certs, certified, rational)
 
 
 def angle_interlaces(p: Polynomial) -> bool:
@@ -189,17 +198,7 @@ def increasing_upper_bound(p: Polynomial):
 
 def ramanujan_lower(p: Polynomial):
     """Exact rational lower bound via Ramanujan sums, maximised over divisors."""
-    _require_trim_pal(p)
-    if not p.is_exact:
-        raise NotApplicable("Ramanujan lower bound runs on the rational track")
-    n = p.darga
-    sig = [Fraction(c) for c in sigma_of(p).sigma]
-    best = None
-    for d in arith.divisors(n):
-        tot = sum(sig[j] * arith.ramanujan_sum(d, j) for j in range(1, n // 2 + 1))
-        cand = Fraction(-1, arith.euler_phi(d)) * tot
-        best = cand if best is None or cand > best else best
-    return best
+    return max(interlace_rational_candidates(p).values())
 
 
 @at_working_precision
@@ -222,29 +221,23 @@ def monotonic_lower(p: Polynomial):
 
 
 def interlace_rational_candidates(p: Polynomial) -> dict:
-    """Divisor-indexed exact candidate values from conjugate-class averages."""
+    """Exact candidates by divisor d of the darga: the mean of -p/2 over the
+    primitive d-th roots of unity, a Ramanujan sum per coefficient."""
     _require_trim_pal(p)
     if not p.is_exact:
         raise NotApplicable("candidates exist on the rational track only")
-    n = p.darga
-    sig = [Fraction(c) for c in sigma_of(p).sigma]
-    out = {}
-    for d in arith.divisors(n):
-        tot = sum(sig[j] * arith.ramanujan_sum(d, j) for j in range(1, n // 2 + 1))
-        out[d] = Fraction(-1, arith.euler_phi(d)) * tot
-    return out
+    return {d: Fraction(-sum(c * arith.ramanujan_sum(d, j) for j, c in enumerate(p.re)),
+                        2 * arith.euler_phi(d))
+            for d in arith.divisors(p.darga)}
 
 
 def is_interlace_rational(p: Polynomial):
     """(True, exact rational value) when the certified value meets a candidate."""
-    cands = interlace_rational_candidates(p)
-    best = max(cands.values())
-    res = interlace_number(p)
-    with working_precision():
-        tol = CERT_REL_TOL * (1 + abs(as_mpf(best)))
-        if abs(res.value - as_mpf(best)) <= tol:
-            return True, best
-    return False, None
+    _require_trim_pal(p)
+    if not p.is_exact:
+        raise NotApplicable("candidates exist on the rational track only")
+    rational = interlace_number(p).rational
+    return rational is not None, rational
 
 
 def shift_geometric(p: Polynomial, a) -> Polynomial:

@@ -89,6 +89,9 @@ class TestChooseOmega:
     def test_monomial(self):
         assert ci.choose_omega(make_polynomial([-2], offset=1)) == 1
 
+    def test_tie_is_relative_to_the_coefficients(self):
+        assert ci.choose_omega(ge(6).scale(Q(-1, 10**12))) == 1
+
 
 class TestGcdWithXn1:
     def test_coprime(self, rng):
@@ -348,6 +351,38 @@ class TestExactness:
                     assert gap < mpmath.mpf("1e-7") * (1 + abs(il))
                 else:
                     assert gap > mpmath.mpf("1e-9") * (1 + abs(il))
+
+
+# the paper's analyze fixtures and tgcd(6): il 171, il 135, be 4, cn 23/3, cn 68
+SCALE_FIXTURES = ([172, 100, 198, 100, 172], [100, 172, 198, 172, 100],
+                  [50, 86, 99, 86, 50], [15, 14, 12, 2, 2, 12, 14, 15],
+                  [80, 75, 73, 11, 2, 11, 73, 75, 80], [1, 2, 3, 2, 1])
+
+
+class TestScaleInvariance:
+    """Scaling p scales il and cn; certs and verdicts must not move."""
+
+    @pytest.mark.parametrize("lam", [Q(1, 10**12), Q(10**12)])
+    @pytest.mark.parametrize("coeffs", SCALE_FIXTURES)
+    def test_certs_rational_il_and_verdict(self, coeffs, lam):
+        p = make_polynomial(coeffs, offset=1)
+        q = p.scale(lam)
+        il_p, il_q = interlace_number(p), interlace_number(q)
+        assert il_q.certs == il_p.certs
+        assert il_q.rational == (None if il_p.rational is None else lam * il_p.rational)
+        assert ci.is_exact(q) == ci.is_exact(p)
+
+    def test_twocerts_witness(self):
+        p = make_polynomial([50, 86, 99, 86, 50], offset=1)
+        assert ci._twocerts_witness(p.scale(Q(1, 10**12)), {1}) is None
+        assert ci._twocerts_witness(p, {1}) is None
+
+    def test_float_track_double_root_test(self):
+        # il = 67.5e-12 is far above cn = 13.5e-12
+        with working_precision():
+            p = make_polynomial([mpmath.mpf(c) * mpmath.mpf("1e-12")
+                                 for c in (50, 86, 99, 86, 50)], offset=1)
+        assert not ci.is_exact(p).exact
 
 
 class TestBoundingError:

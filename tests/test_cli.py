@@ -93,6 +93,17 @@ class TestAnalyze:
         report = json.loads(out)
         assert {key: report[key] for key in pinned} == pinned
 
+    def test_small_scale_keeps_the_interlace_certs(self):
+        # at scale 1 the certs are [3] and il is irrational; an absolute tie
+        # width once made every value a cert at this scale
+        coeffs = ",".join(f"{c}/1000000000000" for c in (17, 12, -18, 7, -18, 12, 17))
+        code, out = run_cli(["analyze", f"--coeffs={coeffs}"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["interlace_certs"] == [3]
+        assert report["il"]["rational"] is None
+        assert report["il"]["float"] >= report["cn"]["float"]
+
     def test_unexpected_exception_is_error_object(self, monkeypatch):
         import palinlace.cli as cli
 
@@ -103,6 +114,33 @@ class TestAnalyze:
         code, out = run_cli(["analyze", "--coeffs", "2,2"])
         assert code == 3
         assert json.loads(out) == {"error": "RuntimeError", "message": "injected fault"}
+
+
+def count_unity_evaluations(monkeypatch):
+    import palinlace.interlace as il_mod
+    calls = []
+    inner = il_mod.unity_values_raw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(il_mod, "unity_values_raw", counted)
+    return calls
+
+
+class TestOneAnalysisPerPolynomial:
+    """il is computed once per report and per row: one escalation, two passes."""
+
+    def test_scan_row(self, monkeypatch):
+        calls = count_unity_evaluations(monkeypatch)
+        _scan_row(0, parse_coeff_text("17,12,-18,7,-18,12,17"))
+        assert len(calls) == 2
+
+    def test_analysis_report(self, monkeypatch):
+        calls = count_unity_evaluations(monkeypatch)
+        analysis_report(parse_coeff_text("50,86,99,86,50"))
+        assert len(calls) == 2
 
 
 class TestFamilyRoundTrip:
