@@ -1,13 +1,15 @@
-"""Circle number via the Cayley transform and discriminants, certs, exactness.
+"""Circle number via discriminants, the Cayley transform, certs, exactness.
 
 Two routes compute the circle number of a trim self-inversive p of darga n:
 
 * discriminant route: cn is the largest real root, in alpha, of the
-  discriminant of (alpha (x^n + 1) + p) / gcd(p, x^n + 1);
-* halved route (palindromic p): map by the Cayley substitution at omega = 1,
-  keep even-indexed coefficients, and take the largest real root of that
-  half-size discriminant together with the two endpoint candidates
-  -p(1)/2 and -p(-1)/2 (n even) or -p'(-1)/n (n odd).
+  discriminant of q_alpha = (alpha (x^n + 1) + p) / gcd(p, x^n + 1);
+* halved route (palindromic p): write the palindromic q_alpha of degree 2m
+  as x^m G_alpha(y) with y = x + 1/x, and take the largest real root of the
+  half-size discriminant Disc_y(G_alpha) together with the two endpoint
+  candidates -p(1)/2 and -p(-1)/2 (n even) or -p'(-1)/n (n odd).  G_alpha
+  is a Moebius transform of the even half of the Cayley image S_1(q_alpha),
+  so both have the same discriminant up to a constant.
 
 Rational input stays exact end to end (integer resultants on sample values
 of alpha, exact interpolation, Sturm isolation, rational reconstruction of
@@ -196,31 +198,22 @@ def cayley(p: Polynomial, j: int) -> Polynomial:
     bits = 2 * default_precision()
     with working_precision(bits):
         w = mpmath.expjpi(mpmath.mpf(2 * j) / n)
-        acc = _cayley_float([c * w**k for k, c in enumerate(p.mpc_coeffs(n + 1))])
+        # powers of x - i and of x + i: Gaussian integers, exact at this precision
+        minus, plus = [[1]], [[1]]
+        for _ in range(n):
+            minus.append(rp.mul(minus[-1], [mpmath.mpc(0, -1), 1]))
+            plus.append(rp.mul(plus[-1], [mpmath.mpc(0, 1), 1]))
+        acc = [mpmath.mpc(0)] * (n + 1)
+        for k, c in enumerate(p.mpc_coeffs(n + 1)):
+            c *= w**k
+            if c != 0:
+                for i, t in enumerate(rp.mul(minus[k], plus[n - k])):
+                    acc[i] += c * t
         scalemax = max(abs(c) for c in acc)
         eps = scalemax * mpmath.mpf(2) ** (-(bits - 48))
         if any(abs(c.imag) > eps for c in acc):
             raise InternalInconsistency("Cayley image has a nonvanishing imaginary part")
         return Polynomial([c.real for c in acc], zero_darga=n)
-
-
-def _cayley_float(coeffs):
-    """(x + i)^n f((x - i)/(x + i)) for mpf or mpc ``coeffs`` of f, n = len - 1.
-
-    Complex coefficients; each caller checks the imaginary residue itself.
-    The binomial products are Gaussian integers, exact at any precision in use.
-    """
-    n = len(coeffs) - 1
-    minus, plus = [[1]], [[1]]  # powers of x - i and of x + i
-    for _ in range(n):
-        minus.append(rp.mul(minus[-1], [mpmath.mpc(0, -1), 1]))
-        plus.append(rp.mul(plus[-1], [mpmath.mpc(0, 1), 1]))
-    acc = [mpmath.mpc(0)] * (n + 1)
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            for i, t in enumerate(rp.mul(minus[k], plus[n - k])):
-                acc[i] += c * t
-    return acc
 
 
 def hecke(q: Polynomial) -> Polynomial:
@@ -605,29 +598,28 @@ def _normalize_disc(disc):
 
 
 def circle_number_palindromic(p: Polynomial) -> CircleResult:
-    """Halved route for trim palindromic p (endpoint candidates + H-discriminant)."""
+    """Halved route for trim palindromic p: endpoint candidates + Disc_y(G_alpha)."""
     _require_trim_si(p)
     if not p.is_palindromic():
         raise NotSelfInversive("the halved route needs palindromic input")
     bits = 2 * default_precision()
+    q0, q1 = _alpha_pair(p)
+    m = (len(q1) - 1) // 2  # q1 = (x^n + 1)/gcd has even degree: x + 1 | gcd for odd n
     with working_precision(bits):
         cands = list(_endpoint_candidates(p).values())
-    q0, q1 = _alpha_pair(p)
+        if not p.is_exact:  # a palindromic mpc q0 has only noise in its imaginary part
+            q0 = [c.real for c in q0]
+        g0, g1 = rr.halved_variable_image(q0, m), rr.halved_variable_image(q1, m)
     if p.is_exact:
-        h0, h1 = (cayley_exact(q, None, 1)[::2] for q in (q0, q1))
-    else:
-        h0, h1 = (_cayley_float_real(q, bits)[::2] for q in (q0, q1))
-    d = max(len(h0), len(h1)) - 1
-    h0, h1 = (h + [0] * (d + 1 - len(h)) for h in (h0, h1))
-    if p.is_exact:
-        disc = _resultant_alpha_exact(h0, h1) if d >= 2 else []
-        if disc and rp.degree([h0[d], h1[d]]) >= 1:
-            disc = rp.div_exact(disc, [h0[d], h1[d]])  # Res_x(h, h') = +-lc(h) Disc_x(h)
+        disc = _resultant_alpha_exact(g0, g1) if m >= 2 else []
+        if disc:  # Res_y(G, G') = +-lc(G) Disc_y(G), and lc(G) = q_alpha(0) = alpha q1[0]
+            disc = rp.div_exact(disc, [g0[m], g1[m]])
         root = rr.largest_real_root(disc) if disc else None
         value = _max_over_candidates(cands, root, disc)
         disc_poly = _normalize_disc(disc)
     else:
-        disc = _resultant_alpha_float(h0, h1, bits) if d >= 2 else []
+        # undivided: the extra root alpha = 0 never exceeds cn, as p_0 = p vanishes at 0
+        disc = _resultant_alpha_float(g0, g1, bits) if m >= 2 else []
         root = _largest_real_root_float(disc, bits) if disc else None
         value = max(v for v in cands + [root] if v is not None)
         disc_poly = disc
@@ -648,26 +640,6 @@ def _endpoint_candidates(p: Polynomial) -> dict:
         der = [conv(c) for c in rp.derivative(list(p.re))]
         out["derivative_at_minus_one"] = -rp.evaluate(der, -1) / n
     return out
-
-
-def _cayley_float_real(q, bits: int):
-    """S_1 of an mpf coefficient list, asserting a real image.
-
-    The admissible imaginary residue accounts for how far the input itself
-    sits from exact palindromic symmetry (float coefficients carry noise).
-    """
-    with working_precision(bits):
-        n = len(q) - 1
-        sym_dev = max((abs(q[k] - q[n - k]) for k in range(n + 1)),
-                      default=mpmath.mpf(0))
-        acc = _cayley_float(q)
-        scale = max((abs(c) for c in acc), default=mpmath.mpf(0))
-        eps = (scale * mpmath.mpf(2) ** (-(bits - 48))
-               + sym_dev * mpmath.mpf(4) ** n * (n + 1)
-               + mpmath.mpf(2) ** (-(bits - 8)))
-        if any(abs(c.imag) > eps for c in acc):
-            raise InternalInconsistency("Cayley image has a nonvanishing imaginary part")
-        return rp.strip([c.real for c in acc])
 
 
 def alpha_family_reduced(p: Polynomial):

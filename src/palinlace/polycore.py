@@ -183,7 +183,7 @@ class Polynomial:
             for j in range(n + 1):
                 a, b = self.coeff(j)
                 c, d = self.coeff(n - j)
-                if Fraction(a) != Fraction(c) or Fraction(b) != -Fraction(d):
+                if a != c or b != -d:
                     return False
             return True
         eps = self._eq_eps()

@@ -3,6 +3,7 @@
 Also hosts the unit-circle root counter for rational palindromic
 polynomials, which rewrites an even palindromic polynomial in the variable
 y = x + 1/x and counts roots of the image in [-2, 2] by Sturm's theorem.
+The halved circle-number route takes the discriminant of the same image.
 """
 
 from __future__ import annotations
@@ -160,58 +161,59 @@ def simplest_rational_between(lo, hi) -> Fraction:
     return n + 1 / rest
 
 
+def _refined(g, lo, hi, rel):
+    """(lo, hi, exact_or_None) for the root of square-free g isolated in (lo, hi)."""
+    lo, hi = refine_root(g, lo, hi, rel)
+    if lo == hi:
+        return lo, hi, lo
+    cand = simplest_rational_between(lo, hi)
+    if rp.evaluate(g, cand) == 0:
+        return lo, hi, cand
+    lo, hi = refine_root(g, lo, hi, rel / 10**6)
+    cand = simplest_rational_between(lo, hi)
+    return lo, hi, (cand if rp.evaluate(g, cand) == 0 else None)
+
+
 def real_roots(f, rel=Fraction(1, 10**12)):
     """Refined isolating intervals plus exact rational value where one exists.
 
     Returns a list of (lo, hi, exact_or_None), sorted increasing.
     """
     g = rp.squarefree_part(f)
-    out = []
-    for lo, hi in isolate_real_roots(g):
-        lo, hi = refine_root(g, lo, hi, rel)
-        exact = None
-        if lo == hi:
-            exact = lo
-        else:
-            cand = simplest_rational_between(lo, hi)
-            if rp.evaluate(g, cand) == 0:
-                exact = cand
-            else:
-                lo2, hi2 = refine_root(g, lo, hi, rel / 10**6)
-                cand = simplest_rational_between(lo2, hi2)
-                if rp.evaluate(g, cand) == 0:
-                    exact = cand
-                lo, hi = lo2, hi2
-        out.append((lo, hi, exact))
-    return out
+    return [_refined(g, lo, hi, rel) for lo, hi in isolate_real_roots(g)]
 
 
 def largest_real_root(f, rel=Fraction(1, 10**12)):
-    """(lo, hi, exact_or_None) for the largest real root, or None if none."""
-    roots = real_roots(f, rel)
-    return roots[-1] if roots else None
+    """(lo, hi, exact_or_None) for the largest real root, or None if none.
+
+    Only the largest isolating interval is refined.
+    """
+    g = rp.squarefree_part(f)
+    intervals = isolate_real_roots(g)
+    return _refined(g, *intervals[-1], rel) if intervals else None
 
 
 # -- unit-circle root counting for palindromic rational polynomials --------
 
-def _halved_variable_image(sf):
-    """Image G(y) of an even palindromic sf under y = x + 1/x.
+def halved_variable_image(q, m=None):
+    """G(y) with q(x) = x^m G(x + 1/x), for q palindromic of degree 2m.
 
-    sf must be palindromic of even degree 2m; deg G = m and roots of G in
-    the open interval (-2, 2) correspond to conjugate circle-root pairs.
+    Reads q[0..m] only and returns m + 1 coefficients in q's ring; G's
+    leading coefficient is q[0].  Without ``m``, q is stripped and m is half
+    its degree; pass ``m`` when q is zero-padded to the degree of a family,
+    so that G keeps that degree.  Roots of G in the open interval (-2, 2)
+    correspond to conjugate circle-root pairs of q.
     """
-    sf = rp.strip(sf)
-    m = rp.degree(sf) // 2
-    b_prev = [Fraction(2)]            # x^0 + x^-0
-    b_cur = [Fraction(0), Fraction(1)]  # x^1 + x^-1 = y
-    basis = [b_prev, b_cur]
+    if m is None:
+        q = rp.strip(q)
+        m = rp.degree(q) // 2
+    basis = [[2], [0, 1]]  # x^k + x^-k as a polynomial in y, k = 0, 1, ...
     for _ in range(2, m + 1):
-        nxt = rp.sub(rp.mul([Fraction(0), Fraction(1)], basis[-1]), basis[-2])
-        basis.append(nxt)
-    g = [Fraction(sf[m])]
+        basis.append(rp.sub(rp.mul([0, 1], basis[-1]), basis[-2]))
+    g = [q[m]]
     for k in range(m):
-        g = rp.add(g, rp.scale(basis[m - k], Fraction(sf[k])))
-    return g
+        g = rp.add(g, rp.scale(basis[m - k], q[k]))
+    return g + [0 * q[m]] * (m + 1 - len(g))
 
 
 def count_circle_roots_distinct(q) -> int:
@@ -240,7 +242,7 @@ def count_circle_roots_distinct(q) -> int:
         return cnt
     if d % 2 != 0 or any(sf[k] != sf[d - k] for k in range(d + 1)):
         raise ValueError("circle-root counting needs a palindromic polynomial")
-    g = _halved_variable_image(sf)
+    g = halved_variable_image(sf)
     cnt += 2 * count_real_roots(g, Fraction(-2), Fraction(2))
     return cnt
 

@@ -21,6 +21,7 @@ from palinlace.polycore import (
 )
 from palinlace.precision import default_precision, working_precision
 from palinlace import ratpoly as rp
+from palinlace import realroots as rr
 from palinlace.families import random_trim_palindromic
 
 from conftest import approx, ge
@@ -213,6 +214,71 @@ class TestHeckePath:
             with working_precision():
                 assert abs(as_mpf(a.value) - as_mpf(b.value)) \
                     < mpmath.mpf("1e-9") * (1 + abs(as_mpf(a.value)))
+
+
+def cayley_halved_disc(p):
+    """The halved route's discriminant built the long way: the even half of
+    the Cayley image S_1(q_alpha), divided by its endpoint factor."""
+    q0, q1 = ci._alpha_pair(p)
+    h0, h1 = (ci.cayley_exact(q, None, 1)[::2] for q in (q0, q1))
+    d = max(len(h0), len(h1)) - 1
+    h0, h1 = (h + [0] * (d + 1 - len(h)) for h in (h0, h1))
+    disc = ci._resultant_alpha_exact(h0, h1) if d >= 2 else []
+    if disc and rp.degree([h0[d], h1[d]]) >= 1:
+        disc = rp.div_exact(disc, [h0[d], h1[d]])
+    return ci._normalize_disc(disc)
+
+
+class TestHalvedImage:
+    def test_route_matches_cayley_construction(self):
+        for p in criterion09_stream(40):
+            variants = [p, p.stretch(2), p.scale(Q(3, 7)), p.scale(Q(1, 10**12))]
+            if p.darga % 2 == 0:
+                variants.append(p.sign_flip())
+            for q in variants:
+                got = list(ci.circle_number_palindromic(q).disc_poly)
+                assert got == cayley_halved_disc(q), q
+
+    def test_zero_padded_q0_keeps_full_degree(self):
+        # q0 = 2x + 3x^2 + 2x^3 padded to degree 4: G = 3 + 2y + 0 y^2
+        assert rr.halved_variable_image([0, 2, 3, 2, 0], 2) == [3, 2, 0]
+        # stripped, the same list reads as degree 3 and gives the wrong G
+        assert rr.halved_variable_image([0, 2, 3, 2, 0]) != [3, 2, 0]
+        for p in criterion09_stream(8):
+            q0, q1 = ci._alpha_pair(p)
+            m = (len(q1) - 1) // 2
+            for q in (q0, q1):
+                g = rr.halved_variable_image(q, m)
+                assert len(g) == m + 1 and g[m] == q[0]
+                for x in (Q(2), Q(-3, 5), Q(7, 3)):
+                    assert x ** m * rp.evaluate(g, x + 1 / x) == rp.evaluate(q, x)
+
+    def test_mpf_image_equals_fraction_image(self, rng):
+        for _ in range(10):
+            m = rng.randint(1, 6)
+            half = [Q(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(m + 1)]
+            q = half + half[-2::-1]
+            exact = rr.halved_variable_image(q, m)
+            with working_precision(256):
+                got = rr.halved_variable_image([as_mpf(c) for c in q], m)
+                scale = max(abs(as_mpf(c)) for c in exact)
+                for a, b in zip(got, exact):
+                    assert isinstance(a, mpmath.mpf)
+                    assert abs(a - as_mpf(b)) <= mpmath.mpf(2) ** -240 * scale
+
+    def test_float_track_with_imaginary_noise(self):
+        # be = 4 fixture, cn = 27/2, with an imaginary part that is noise at 1e-60
+        with working_precision(256):
+            re = [0] + [mpmath.mpf(c) for c in (50, 86, 99, 86, 50)] + [0]
+            noise = mpmath.mpf("1e-60")
+            im = [0, noise, -noise, 0, noise, -noise, 0]
+        p = Polynomial(re, im)
+        assert p.is_palindromic() and not p.is_real
+        res = ci.circle_number_palindromic(p)
+        with working_precision(256):
+            assert abs(as_mpf(res.value) - mpmath.mpf(27) / 2) < mpmath.mpf("1e-40")
+        assert same_certs(res.certs, ci.circle_number_palindromic(
+            make_polynomial([50, 86, 99, 86, 50], offset=1)).certs, "1e-30")
 
 
 class TestRPolynomial:

@@ -76,6 +76,25 @@ class TestAlphaProfile:
         with working_precision():
             assert abs(as_mpf(last.lo) - as_mpf(res.value)) < mpmath.mpf("1e-9")
 
+    def test_circle_rooted_below_cn_lies_in_a_lower_interval(self):
+        # criterion 09's sub-threshold law on an input that reaches it: the
+        # oracle finds p_alpha circle rooted at alpha = q(0) = 60, below
+        # cn ~ 186.16, and the sweep has a bounded interval there
+        p = two_interval([(3, 1), (4, 2), (5, 3)])
+        cn = ci.circle_number_palindromic(p)
+        alpha = Q(60)
+        assert as_mpf(alpha) < as_mpf(cn.value)
+        assert ci.numeric_oracle_circle_rooted(p_alpha(p).instantiate(alpha),
+                                               mpmath.mpf("1e-5"))
+        intervals = dy.alpha_profile(p).circle_rooted_intervals()
+        below = [iv for iv in intervals[:-1] if iv.lo is not None and iv.lo <= alpha <= iv.hi]
+        assert len(below) == 1
+        assert Q(59) < below[0].lo and below[0].hi < Q(61)
+        last = intervals[-1]
+        assert last.hi is None
+        with working_precision(256):
+            assert abs(as_mpf(last.lo) / as_mpf(cn.value) - 1) < mpmath.mpf("1e-15")
+
     def test_last_interval_matches_circle_number(self, rng):
         for _ in range(6):
             p = random_trim_palindromic(rng, rng.randint(3, 7))

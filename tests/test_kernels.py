@@ -48,6 +48,18 @@ def test_largest_real_root_irrational_is_isolated():
     assert abs(float(lo) - 2**0.5) < 1e-10
 
 
+def test_largest_real_root_refines_only_the_top_interval(monkeypatch):
+    f = rp.mul([-2, 0, 1], [6, -7, 0, 1])  # roots -3, -sqrt 2, 1, sqrt 2, 2
+    refined = []
+    real_refine = rr.refine_root
+    monkeypatch.setattr(rr, "refine_root", lambda g, lo, hi, rel:
+                        refined.append((lo, hi)) or real_refine(g, lo, hi, rel))
+    top = rr.largest_real_root(f)
+    assert top[2] == 2
+    assert refined and all(lo <= 2 <= hi for lo, hi in refined)
+    assert rr.real_roots(f)[-1] == top
+
+
 def test_simplest_rational_reconstruction():
     assert rr.simplest_rational_between(Q(66, 10), Q(68, 10)) == Q(20, 3)
     assert rr.simplest_rational_between(Q(-1, 3), Q(1, 7)) == 0

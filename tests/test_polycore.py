@@ -69,6 +69,13 @@ class TestPredicates:
         p = Polynomial([0, 1, 1], [0, 1, -1])  # (1+i)x + (1-i)x^2
         assert p.is_self_inversive() and not p.is_palindromic()
 
+    def test_self_inversive_mixes_int_and_fraction(self):
+        p = Polynomial([0, Q(3, 2), 2, Q(3, 2), 0], [0, Q(1, 3), 0, Q(-1, 3), 0])
+        assert p.is_self_inversive()
+        assert Polynomial([0, 2, Q(4, 2), 0]).is_self_inversive()
+        assert not Polynomial([0, 1, Q(1, 2), 0]).is_self_inversive()
+        assert not Polynomial([0, 1, 1, 0], [0, 1, 1, 0]).is_self_inversive()
+
     def test_float_track_tolerance(self):
         with working_precision():
             c = mpmath.mpf(1) - mpmath.mpf(2) ** -100
