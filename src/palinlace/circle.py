@@ -37,13 +37,14 @@ from .errors import (
     NotTrim,
     OracleFailure,
 )
-from .interlace import interlace_number
+from .interlace import CERT_REL_TOL, interlace_number
 from .polycore import (
     Polynomial,
     as_mpf,
     sigma_of,
     to_fraction_coeffs,
     trim_part,
+    unity_residue,
     unity_values_raw,
     x_pow_n_plus_1,
 )
@@ -51,7 +52,6 @@ from .precision import default_precision, escalate, working_precision
 
 GCD_REL_TOL = mpmath.mpf("1e-9")       # float-track divisibility threshold
 CERT_CLUSTER_TOL = mpmath.mpf("1e-6")  # double-root clustering
-EXACT_REL_TOL = mpmath.mpf("1e-8")     # discriminant-vanishing threshold
 ROOT_IM_TOL = mpmath.mpf("1e-9")       # accept near-real roots of the alpha poly
 SEED_REL_TOL = 1e-12                   # float64 Durand-Kerner convergence
 SEED_MAX_STEPS = 200
@@ -397,12 +397,13 @@ def _max_over_candidates(cands, root_info, disc_poly):
     if exact is not None:
         return max(best_c, exact) if best_c is not None else exact
     if best_c is not None:
+        sf = rp.squarefree_part(disc_poly)
         for _ in range(8):
             if best_c >= hi:
                 return best_c
             if best_c <= lo:
                 break
-            lo, hi = rr.refine_root(disc_poly, lo, hi, (hi - lo) / 2**40)
+            lo, hi = rr.refine_root(sf, lo, hi, (hi - lo) / 2**40)
         if best_c >= hi:
             return best_c
     with working_precision(4 * default_precision()):
@@ -783,18 +784,34 @@ def is_exact(p: Polynomial) -> ExactnessVerdict:
     _require_trim_si(p)
     if not p.is_palindromic():
         raise NotSelfInversive("exactness is defined for palindromic input")
-    return _exactness(p, interlace_number(p))
+    return _exactness(p, interlace_number(p), circle_number_palindromic(p))
 
 
-def _exactness(p: Polynomial, il) -> ExactnessVerdict:
-    """is_exact for trim palindromic p whose interlace result ``il`` is known."""
+def _exactness(p: Polynomial, il, cn) -> ExactnessVerdict:
+    """is_exact for trim palindromic p from its interlace and halved-route results:
+    cn is the largest of the endpoint candidates and the real roots of
+    ``cn.disc_poly``, and cn <= il, so il == cn iff il is one of them."""
     n = p.darga
     if 0 in il.certs or (n % 2 == 0 and n // 2 in il.certs):
         w = 0 if 0 in il.certs else n // 2
         return ExactnessVerdict(True, "pofone_fast_path", w)
     witness = _twocerts_witness(p, il.certs)
-    exact = _double_root_at_il(p, il)
+    if p.is_exact:
+        exact = il.rational in _endpoint_candidates(p).values() or (
+            bool(cn.disc_poly) and all(_vanishes_at_residue(cn.disc_poly, *unity_residue(p, j))
+                                       for j in il.certs))
+    else:
+        with working_precision():
+            exact = abs(il.value - as_mpf(cn.value)) <= CERT_REL_TOL * as_mpf(p.norm1())
     return ExactnessVerdict(exact, "double_root_test", witness)
+
+
+def _vanishes_at_residue(f, r, phi) -> bool:
+    """f(r) == 0 in Q[x]/phi, by Horner with a reduction at each step."""
+    acc = []
+    for c in reversed(f):
+        acc = rp.divmod_exact(rp.add(rp.mul(acc, r), [c]), phi)[1]
+    return not acc
 
 
 def _twocerts_witness(p: Polynomial, certs):
@@ -812,23 +829,6 @@ def _twocerts_witness(p: Polynomial, certs):
             if abs(total) < mpmath.mpf("1e-9") * scale:
                 return j
     return None
-
-
-def _double_root_at_il(p: Polynomial, il) -> bool:
-    """Discriminant test at alpha = il(p), exact when il is rational.
-
-    Otherwise the value at il is compared with the largest term of the sum,
-    which scales with the coefficients as the value does.
-    """
-    disc = _alpha_discriminant(p)
-    if il.rational is not None:
-        return rp.evaluate(disc, il.rational) == 0
-    with working_precision(2 * default_precision()):
-        x = as_mpf(il.value)
-        if p.is_exact:
-            disc = [as_mpf(c) for c in disc]
-        scale = max(abs(c) * abs(x) ** k for k, c in enumerate(disc))
-        return abs(rp.evaluate(disc, x)) <= EXACT_REL_TOL * scale
 
 
 def bounding_error(p: Polynomial):

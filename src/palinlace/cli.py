@@ -116,7 +116,7 @@ def analysis_report(p: Polynomial, *, with_timings: bool = True) -> dict:
 
     if p.is_palindromic():
         t = time.perf_counter()
-        verdict = ci._exactness(p, il)
+        verdict = ci._exactness(p, il, cn)
         timings["exactness_ms"] = 1000 * (time.perf_counter() - t)
         report["exact"] = {"exact": verdict.exact, "route": verdict.route,
                            "witness": verdict.witness}
@@ -262,7 +262,7 @@ def cmd_dynamics(args) -> int:
 def _scan_row(index: int, p: Polynomial) -> list:
     il = interlace_number(p)
     cn = ci.circle_number_palindromic(p)
-    verdict = ci._exactness(p, il)
+    verdict = ci._exactness(p, il, cn)
     # one block at the configured precision: the row must not depend on
     # whatever precision another scan thread has set
     with working_precision(default_precision()):

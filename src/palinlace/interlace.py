@@ -22,6 +22,7 @@ from .polycore import (
     make_polynomial,
     sigma_of,
     to_fraction_coeffs,
+    unity_residue,
     unity_values_raw,
 )
 from .precision import (at_working_precision, default_precision,
@@ -35,8 +36,8 @@ class InterlaceResult:
     value: object            # mpf, the certified maximum
     certs: frozenset         # indices j naming theta_n^j
     certified: bool          # cert set stable under precision escalation
-    rational: object = None  # Fraction when value meets a Ramanujan candidate
-                             # (exact palindromic input only), else None
+    rational: object = None  # Fraction when the maximum is rational, decided
+                             # exactly (exact palindromic input only), else None
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,9 @@ def _require_trim_si(p: Polynomial):
 def interlace_number(p: Polynomial) -> InterlaceResult:
     """Certified value and cert set; ties resolved by precision escalation.
 
-    Ties and the match with the Ramanujan candidate that gives ``rational``
-    are judged relative to the 1-norm, so they do not change under scaling.
+    Ties are judged relative to the 1-norm, so they do not change under
+    scaling.  On exact palindromic input the maximum, at index ``top``, is
+    rational iff its residue modulo Phi_d is a constant.
     """
     _require_trim_si(p)
     palindromic = p.is_palindromic()
@@ -76,15 +78,14 @@ def interlace_number(p: Polynomial) -> InterlaceResult:
             vmax = max(halves)
             eps = CERT_REL_TOL * as_mpf(norm)
             certs = frozenset(j for j, v in zip(indices, halves) if v >= vmax - eps)
-            return vmax, certs
+            return vmax, certs, indices[halves.index(vmax)]
 
-    (value, certs), certified = escalate(compute, key=lambda r: r[1])
+    (value, certs, top), certified = escalate(compute, key=lambda r: r[1])
     rational = None
     if palindromic and p.is_exact:
-        best = ramanujan_lower(p)
-        with working_precision():
-            if abs(value - as_mpf(best)) <= CERT_REL_TOL * as_mpf(norm):
-                rational = best
+        r, _ = unity_residue(p, top)
+        if len(r) <= 1:
+            rational = r[0] if r else Fraction(0)
     return InterlaceResult(value, certs, certified, rational)
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 import mpmath
 
+from .arith import divisors, euler_phi, mobius
 from .errors import (
     DargaMismatch,
     EmptyPolynomial,
@@ -484,6 +486,27 @@ def unity_values_raw(p: Polynomial, indices, bits: int | None = None):
     with working_precision(bits):
         coeffs = p.mpc_coeffs()
         return [rp.evaluate(coeffs, unity_root(p.darga, j)) for j in indices]
+
+
+def cyclotomic(d: int) -> list:
+    """Phi_d as ascending ints: for d > 1, the product over e | d of
+    (1 - x^e)^mu(d/e) as a power series mod x^(phi(d) + 1)."""
+    f = [1] + [0] * euler_phi(d)
+    for e in divisors(d):
+        mu = mobius(d // e)
+        if mu:  # times 1 - x^e: shift and subtract; over it: a running sum
+            span = range(e, len(f))
+            for i in (reversed(span) if mu == 1 else span):
+                f[i] -= mu * f[i - e]
+    return f if d > 1 else [-1, 1]
+
+
+def unity_residue(p: Polynomial, j: int):
+    """(r, Phi_d) with r = -p/2 mod Phi_d, d = n / gcd(j, n), for exact real p:
+    r(xi) = -p(xi)/2 at each primitive d-th root of unity xi, theta_n^j among
+    them, so the value at theta_n^j is rational iff r is constant."""
+    phi = cyclotomic(p.darga // gcd(j, p.darga))
+    return rp.divmod_exact([-c / 2 for c in p.re], phi)[1], phi
 
 
 def eval_unity(p: Polynomial, n: int, j: int, bits: int | None = None):

@@ -90,9 +90,8 @@ def cauchy_bound(f) -> Fraction:
     return 1 + m / top
 
 
-def isolate_real_roots(f):
-    """Disjoint open rational intervals, one per distinct real root, sorted."""
-    g = rp.squarefree_part(f)
+def isolate_real_roots(g):
+    """Disjoint open rational intervals, one per real root of square-free g, sorted."""
     if rp.degree(g) <= 0:
         return []
     chain = sturm_chain(g)
@@ -122,9 +121,8 @@ def isolate_real_roots(f):
     return out
 
 
-def refine_root(f, lo, hi, rel=Fraction(1, 10**12)):
-    """Shrink an isolating interval of a simple root by sign bisection."""
-    g = rp.squarefree_part(f)
+def refine_root(g, lo, hi, rel=Fraction(1, 10**12)):
+    """Bisect an isolating interval of a root of square-free g to relative width rel."""
     lo, hi = Fraction(lo), Fraction(hi)
     flo = rp.evaluate(g, lo)
     if flo == 0:
@@ -132,8 +130,10 @@ def refine_root(f, lo, hi, rel=Fraction(1, 10**12)):
     fhi = rp.evaluate(g, hi)
     if fhi == 0:
         return hi, hi
+    if lo < 0 < hi and rp.evaluate(g, 0) == 0:
+        return Fraction(0), Fraction(0)
     slo = _sign(flo)
-    while hi - lo > rel * max(Fraction(1), abs(lo), abs(hi)):
+    while hi - lo > rel * max(abs(lo), abs(hi)):
         mid = (lo + hi) / 2
         v = rp.evaluate(g, mid)
         if v == 0:

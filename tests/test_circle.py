@@ -15,6 +15,7 @@ from palinlace.polycore import (
     instantiate,
     make_polynomial,
     p_alpha,
+    parse_coeff_text,
     to_fraction_coeffs,
     trim_part,
     x_pow_n_plus_1,
@@ -418,6 +419,22 @@ class TestExactness:
                 else:
                     assert gap > mpmath.mpf("1e-9") * (1 + abs(il))
 
+    @pytest.mark.parametrize("coeffs", ["2,-3,-12,96,-12,-3,2", "17,12,-18,7,-18,12,17",
+                                        "-4,18,18,-4", "1,0,-4,20,20,-4,0,1"])
+    def test_near_miss_is_not_exact(self, coeffs):
+        # il and cn differ by 1e-5 to 1e-1 relative
+        assert not ci.is_exact(parse_coeff_text(coeffs)).exact
+
+    def test_stretched_near_miss_is_not_exact(self):
+        p = parse_coeff_text("4,8,5,38,5,8,4")
+        assert not ci.is_exact(p.stretch(2)).exact
+
+    def test_verdict_survives_stretch(self):
+        rng = random.Random(7)  # the first rows of scan --darga 8 --seed 7
+        for _ in range(100):
+            p = random_trim_palindromic(rng, 8)
+            assert ci.is_exact(p).exact == ci.is_exact(p.stretch(2)).exact
+
 
 # the paper's analyze fixtures and tgcd(6): il 171, il 135, be 4, cn 23/3, cn 68
 SCALE_FIXTURES = ([172, 100, 198, 100, 172], [100, 172, 198, 172, 100],
@@ -437,6 +454,19 @@ class TestScaleInvariance:
         assert il_q.certs == il_p.certs
         assert il_q.rational == (None if il_p.rational is None else lam * il_p.rational)
         assert ci.is_exact(q) == ci.is_exact(p)
+
+    @pytest.mark.parametrize("lam", [Q(1, 10**12), Q(1, 10**30)])
+    @pytest.mark.parametrize("coeffs", SCALE_FIXTURES + ([17, 12, -18, 7, -18, 12, 17],))
+    def test_small_scale_circle_number(self, coeffs, lam):
+        p = make_polynomial(coeffs, offset=1)
+        for route in (ci.circle_number, ci.circle_number_palindromic):
+            base, small = route(p), route(p.scale(lam))
+            with working_precision(256):
+                want = as_mpf(lam) * as_mpf(base.value)
+                assert abs(as_mpf(small.value) - want) <= mpmath.mpf("1e-15") * want
+                assert len(small.certs) == len(base.certs)
+                assert all(abs(z - w) < mpmath.mpf("1e-15")
+                           for z, w in zip(small.certs, base.certs))
 
     def test_twocerts_witness(self):
         p = make_polynomial([50, 86, 99, 86, 50], offset=1)

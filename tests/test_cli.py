@@ -142,6 +142,16 @@ class TestOneAnalysisPerPolynomial:
         analysis_report(parse_coeff_text("50,86,99,86,50"))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("analyse", [lambda p: _scan_row(0, p), analysis_report])
+    def test_one_gcd_with_x_n_plus_1(self, monkeypatch, analyse):
+        # exactness reads the halved route's discriminant; it builds no second one
+        import palinlace.circle as ci
+        calls = []
+        inner = ci.gcd_xn1
+        monkeypatch.setattr(ci, "gcd_xn1", lambda p: calls.append(p) or inner(p))
+        analyse(parse_coeff_text("17,12,-18,7,-18,12,17"))
+        assert len(calls) == 1
+
 
 class TestFamilyRoundTrip:
     def test_family_prints_parseable_text(self):

@@ -177,6 +177,13 @@ class TestInterlaceRational:
         ok, v = is_interlace_rational(make_polynomial([1, -1, -1, 1], offset=1))
         assert not ok and v is None
 
+    def test_irrational_value_beside_a_rational_cert(self):
+        # il = 5 + sqrt(2) 1e-10 / 2 at j = 1 ties the rational value 5 at j = 3
+        t = Q(10000000001, 10000000000)
+        res = interlace_number(make_polynomial([1, 5, t, 10, t, 5, 1], offset=1))
+        assert sorted(res.certs) == [1, 3]
+        assert res.rational is None
+
     def test_candidates_match_ramanujan_max(self, rng):
         for _ in range(10):
             p = random_trim_palindromic(rng, rng.randint(3, 10))

@@ -60,6 +60,22 @@ def test_largest_real_root_refines_only_the_top_interval(monkeypatch):
     assert rr.real_roots(f)[-1] == top
 
 
+def test_largest_real_root_takes_one_squarefree_part(monkeypatch):
+    f = rp.mul(rp.mul([-2, 0, 1], [-2, 0, 1]), [6, -7, 0, 1])  # sqrt 2 doubled
+    calls = []
+    inner = rp.squarefree_part
+    monkeypatch.setattr(rp, "squarefree_part", lambda g: calls.append(g) or inner(g))
+    lo, hi, exact = rr.largest_real_root(f)
+    assert exact == 2 and len(calls) == 1
+
+
+def test_refine_root_width_is_relative():
+    g = [-2 * Q(1, 10**60), 0, 1]  # root sqrt 2 1e-30
+    lo, hi = rr.refine_root(g, 0, 1, Q(1, 10**12))
+    assert 0 < hi - lo <= Q(1, 10**12) * hi
+    assert rr.refine_root([0, 1], -1, 2) == (0, 0)
+
+
 def test_simplest_rational_reconstruction():
     assert rr.simplest_rational_between(Q(66, 10), Q(68, 10)) == Q(20, 3)
     assert rr.simplest_rational_between(Q(-1, 3), Q(1, 7)) == 0

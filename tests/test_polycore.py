@@ -16,6 +16,8 @@ from palinlace.polycore import (
     AlphaPolynomial,
     Polynomial,
     SigmaRep,
+    as_mpf,
+    cyclotomic,
     eval_unity,
     exact_gcd,
     format_coeff_text,
@@ -27,9 +29,13 @@ from palinlace.polycore import (
     poly_of,
     sigma_of,
     trim_part,
+    unity_residue,
+    unity_root,
     unity_values_raw,
     zero_polynomial,
 )
+from palinlace import ratpoly as rp
+from palinlace.arith import divisors
 from palinlace.precision import working_precision
 from palinlace.families import random_trim_palindromic
 
@@ -187,6 +193,29 @@ class TestEvalUnity:
             with working_precision():
                 total = sum(v.real for v in vals)
                 assert abs(total) < mpmath.mpf("1e-25") * n
+
+
+class TestCyclotomic:
+    def test_product_over_divisors_is_x_n_minus_1(self):
+        for n in range(1, 41):
+            prod = [1]
+            for d in divisors(n):
+                prod = rp.mul(prod, cyclotomic(d))
+            assert prod == [-1] + [0] * (n - 1) + [1]
+
+    def test_phi_105_has_coefficient_minus_2(self):
+        assert min(cyclotomic(105)) == -2
+
+    def test_residue_is_the_value_at_a_primitive_root(self, rng):
+        for _ in range(5):
+            n = rng.randint(3, 12)
+            p = random_trim_palindromic(rng, n)
+            vals = unity_values_raw(p, range(n))
+            for j in range(n):
+                r, _ = unity_residue(p, j)
+                with working_precision():
+                    got = rp.evaluate([as_mpf(c) for c in r], unity_root(n, j))
+                    assert abs(got + vals[j] / 2) < mpmath.mpf("1e-25") * p.norm1()
 
 
 class TestArithmetic:
