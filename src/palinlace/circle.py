@@ -41,6 +41,7 @@ from .interlace import CERT_REL_TOL, interlace_number
 from .polycore import (
     Polynomial,
     as_mpf,
+    cyclotomic,
     sigma_of,
     to_fraction_coeffs,
     trim_part,
@@ -396,21 +397,15 @@ def _max_over_candidates(cands, root_info, disc_poly):
     lo, hi, exact = root_info
     if exact is not None:
         return max(best_c, exact) if best_c is not None else exact
-    if best_c is not None:
+    if best_c is not None and best_c >= hi:
+        return best_c
+    if best_c is not None and best_c > lo:
+        # one simple root of sf in (lo, hi), none at lo: is it in (lo, best_c]?
         sf = rp.squarefree_part(disc_poly)
-        for _ in range(8):
-            if best_c >= hi:
-                return best_c
-            if best_c <= lo:
-                break
-            lo, hi = rr.refine_root(sf, lo, hi, (hi - lo) / 2**40)
-        if best_c >= hi:
+        if rp.evaluate(sf, best_c) * rp.evaluate(sf, lo) <= 0:
             return best_c
     with working_precision(4 * default_precision()):
-        mid = (as_mpf(lo) + as_mpf(hi)) / 2
-        if best_c is not None and as_mpf(best_c) > mid:
-            return best_c
-        return mid
+        return (as_mpf(lo) + as_mpf(hi)) / 2
 
 
 def _float_seeds(coeffs):
@@ -815,14 +810,19 @@ def _vanishes_at_residue(f, r, phi) -> bool:
 
 
 def _twocerts_witness(p: Polynomial, certs):
-    """Cert j whose sine sum vanishes (the cert itself doubles), if any."""
+    """Cert j at which theta_n^j is itself a double root, if any: a zero of
+    h = x p' - (n/2) p = -i x^(n/2) d/dphi of the real x^(-n/2) p(x), x = e^(i phi).
+    Exact input: h == 0 mod Phi_d for theta_n^j's order d; float: a sine sum."""
     n = p.darga
+    js = [j for j in sorted(certs) if j != 0 and 2 * j != n]
+    if p.is_exact:
+        h = [(k - Fraction(n, 2)) * c for k, c in enumerate(p.re)]
+        return next((j for j in js
+                     if not rp.divmod_exact(h, cyclotomic(n // math.gcd(j, n)))[1]), None)
     sig = sigma_of(p).sigma
     with working_precision():
         scale = sum(abs(as_mpf(c)) * n for c in sig[1:])
-        for j in sorted(certs):
-            if j == 0 or 2 * j == n:
-                continue
+        for j in js:
             total = mpmath.mpf(0)
             for k in range(1, n // 2 + 1):
                 total += as_mpf(sig[k]) * (n - 2 * k) * mpmath.sinpi(mpmath.mpf(2 * j * k) / n)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -263,8 +263,7 @@ def _scan_row(index: int, p: Polynomial) -> list:
     il = interlace_number(p)
     cn = ci.circle_number_palindromic(p)
     verdict = ci._exactness(p, il, cn)
-    # one block at the configured precision: the row must not depend on
-    # whatever precision another scan thread has set
+    # the configured precision, not the caller's: the row must not depend on it
     with working_precision(default_precision()):
         be = ci._bounding_error(il, cn)
         return [
@@ -293,12 +292,9 @@ def cmd_scan(args) -> int:
     sys.stdout.write(f"# palinlace scan v{__version__} seed={args.seed} "
                      f"darga={args.darga} columns={','.join(CSV_COLUMNS)}\n")
     sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
-    with ThreadPoolExecutor(max_workers=max(args.workers, 1)) as pool:
-        rows = pool.map(lambda item: _scan_row(item[0], item[1]),
-                        enumerate(polys))
-        for row in rows:
-            sys.stdout.write(",".join(f'"{cell}"' if "," in cell else cell
-                                      for cell in row) + "\n")
+    for index, p in enumerate(polys):
+        sys.stdout.write(",".join(f'"{cell}"' if "," in cell else cell
+                                  for cell in _scan_row(index, p)) + "\n")
     return 0
 
 
@@ -363,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--darga", type=int, required=True)
     ps.add_argument("--count", type=int, default=100)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--workers", type=int, default=2)
+    ps.add_argument("--workers", type=int, default=2,
+                    help="ignored: rows run in order in one thread")
     ps.add_argument("--inject", help="semicolon-separated coeff lists to prepend")
     ps.set_defaults(func=cmd_scan)
 
@@ -376,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision:
-        import os
+    saved = os.environ.get("PALINLACE_PRECISION")
+    if args.precision:  # for this call only
         os.environ["PALINLACE_PRECISION"] = str(args.precision)
     try:
         return args.func(args)
@@ -388,6 +385,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # the CLI's boundary: answer, never a bare traceback
         traceback.print_exc()
         return _error_object(exc, 3)
+    finally:
+        os.environ.pop("PALINLACE_PRECISION", None)
+        if saved is not None:
+            os.environ["PALINLACE_PRECISION"] = saved
 
 
 def _error_object(exc: Exception, code: int) -> int:

@@ -556,15 +556,13 @@ def x_pow_n_plus_1(n: int) -> Polynomial:
 
 # -- shared text format -------------------------------------------------------
 
-def parse_scalar_token(tok: str):
-    """Integer, rational 'a/b', or decimal literal (decimal -> float track)."""
+def parse_scalar_token(tok: str) -> Fraction:
+    """Integer, rational 'a/b' or decimal literal, read as its exact value."""
     tok = tok.strip()
     if "/" in tok:
         num, den = tok.split("/", 1)
         return Fraction(int(num), int(den))
-    if any(c in tok for c in ".eE") and not tok.lstrip("+-").isdigit():
-        return mpmath.mpf(tok)
-    return Fraction(int(tok))
+    return Fraction(tok)
 
 
 def parse_coeff_text(text: str) -> Polynomial:

@@ -7,9 +7,9 @@ epsilon of a tie are retried at doubled precision, up to MAX_ESCALATIONS
 times, before the tie is reported as genuine.
 
 mpmath keeps its precision in a process-global context, so every block of
-floating work is wrapped in ``working_precision`` which takes a lock.  That
-keeps concurrent callers correct (at the cost of serialising the floating
-sections; the exact-rational kernels run unlocked).
+floating work is wrapped in ``working_precision``, which takes a lock for
+library callers that run threads (palinlace itself starts none); it
+serialises the floating sections, and the exact-rational kernels run unlocked.
 """
 
 from __future__ import annotations

@@ -435,11 +435,47 @@ class TestExactness:
             p = random_trim_palindromic(rng, 8)
             assert ci.is_exact(p).exact == ci.is_exact(p.stretch(2)).exact
 
+    def test_exact_witness_matches_the_sine_sum(self):
+        rng = random.Random(7)  # the first rows of scan --darga 8 --seed 7
+        found = 0
+        for _ in range(40):
+            base = random_trim_palindromic(rng, 8)
+            for p in (base, base.stretch(2)):
+                certs = interlace_number(p).certs
+                with working_precision():
+                    floats = make_polynomial([as_mpf(c) for c in p.re])
+                witness = ci._twocerts_witness(p, certs)
+                assert witness == ci._twocerts_witness(floats, certs)
+                found += witness is not None
+        assert found > 0
+
 
 # the paper's analyze fixtures and tgcd(6): il 171, il 135, be 4, cn 23/3, cn 68
 SCALE_FIXTURES = ([172, 100, 198, 100, 172], [100, 172, 198, 172, 100],
                   [50, 86, 99, 86, 50], [15, 14, 12, 2, 2, 12, 14, 15],
                   [80, 75, 73, 11, 2, 11, 73, 75, 80], [1, 2, 3, 2, 1])
+
+
+class TestMaxOverCandidates:
+    """The interval case: a rational candidate inside the top root's bracket."""
+
+    # convergents of sqrt(2): 239/169 < 1393/985 < sqrt(2) < 3363/2378 < 577/408
+    BRACKET = (Q(239, 169), Q(577, 408), None)
+    BELOW, ABOVE = Q(1393, 985), Q(3363, 2378)
+
+    @pytest.mark.parametrize("disc", [[-2, 0, 1], rp.mul([-2, 0, 1], [-2, 0, 1])])
+    def test_candidate_beside_an_irrational_root(self, disc):
+        assert ci._max_over_candidates([self.ABOVE], self.BRACKET, disc) == self.ABOVE
+        got = ci._max_over_candidates([1, self.BELOW], self.BRACKET, disc)
+        lo, hi, _ = self.BRACKET
+        assert isinstance(got, mpmath.mpf)
+        with working_precision(4 * default_precision()):
+            assert got == (as_mpf(lo) + as_mpf(hi)) / 2
+
+    def test_candidate_equal_to_an_unidentified_root(self):
+        disc = rp.mul(rp.mul([-3, 2], [-3, 2]), [5, 1])  # (2x - 3)^2 (x + 5)
+        got = ci._max_over_candidates([Q(3, 2)], (Q(1), Q(2), None), disc)
+        assert got == Q(3, 2) and isinstance(got, Q)
 
 
 class TestScaleInvariance:

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
@@ -88,10 +91,50 @@ class TestAnalyze:
             "exact": {"exact": True, "route": "double_root_test", "witness": 1}}),
     ])
     def test_float_track_answers_pinned(self, coeffs, pinned):
-        code, out = run_cli(["analyze", "--canonical", f"--coeffs={coeffs}"])
+        # library input with mpf coefficients: the binary64 values of the
+        # decimal tokens, integer tokens as ints
+        with mpmath.workprec(53):
+            vals = [int(t) if t.lstrip("-").isdigit() else mpmath.mpf(t)
+                    for t in coeffs.split(",")]
+        p = make_polynomial(vals, offset=1)
+        assert not p.is_exact
+        report = json.loads(canonical_json(analysis_report(p)))
+        assert {key: report[key] for key in pinned} == pinned
+
+    @pytest.mark.parametrize("decimal, rational", [
+        (["--coeffs=1.5,2.5,1.5"], ["--coeffs=3/2,5/2,3/2"]),
+        (["--coeffs=0.1,0.2,0.1"], ["--coeffs=1/10,1/5,1/10"]),
+        (["--coeffs=1e-3,2.5E2,1e-3"], ["--coeffs=1/1000,250,1/1000"]),
+        (["--sigma", "0.5,0.25", "--darga", "4"], ["--sigma", "1/2,1/4", "--darga", "4"]),
+    ])
+    def test_decimal_tokens_match_rationals(self, decimal, rational):
+        code, a = run_cli(["analyze", "--canonical"] + decimal)
+        assert code == 0
+        code, b = run_cli(["analyze", "--canonical"] + rational)
+        assert code == 0
+        assert a == b
+
+    def test_typed_exapol_is_not_exact(self):
+        # the 20-digit decimal is a rational near 1 - sqrt(5): il and cn
+        # differ near 1e-19, so no cert is a double root of p_il
+        inner = "-1.2360679774997896964"
+        code, out = run_cli(["analyze", "--canonical", f"--coeffs={inner},6,6,{inner}"])
         assert code == 0
         report = json.loads(out)
-        assert {key: report[key] for key in pinned} == pinned
+        assert report["exact"] == {"exact": False, "route": "double_root_test",
+                                   "witness": None}
+        assert report["il"]["rational"] is None and report["cn"]["rational"] is None
+        il, cn = mpmath.mpf(report["il"]["repr"]), mpmath.mpf(report["cn"]["repr"])
+        assert abs(il - cn) < mpmath.mpf("1e-15") * il
+
+    def test_precision_applies_to_one_call(self):
+        before = dict(os.environ)
+        code, out = run_cli(["--precision", "64", "analyze", "--canonical",
+                             "--coeffs", "2,2"])
+        assert code == 0 and json.loads(out)["precision_bits"] == 64
+        code, out = run_cli(["analyze", "--canonical", "--coeffs", "2,2"])
+        assert code == 0 and json.loads(out)["precision_bits"] == 128
+        assert dict(os.environ) == before
 
     def test_small_scale_keeps_the_interlace_certs(self):
         # at scale 1 the certs are [3] and il is irrational; an absolute tie
@@ -194,6 +237,12 @@ class TestDynamics:
                   if bp["exact"]]
         assert "1" in values and "-1" in values
 
+    def test_decimal_coeffs(self):
+        code, a = run_cli(["dynamics", "--coeffs=0.5,1.5,0.5"])
+        assert code == 0
+        code, b = run_cli(["dynamics", "--coeffs=1/2,3/2,1/2"])
+        assert code == 0 and a == b
+
     def test_grid_appends_tsv(self):
         code, out = run_cli(["dynamics", "--coeffs", "-2", "--grid", "0.5:2:4"])
         assert code == 0
@@ -205,10 +254,9 @@ class TestDynamics:
 
 class TestScan:
     def test_reproducible(self):
-        args = ["scan", "--darga", "5", "--count", "6", "--seed", "11",
-                "--workers", "2"]
-        _, a = run_cli(args)
-        _, b = run_cli(args)
+        args = ["scan", "--darga", "5", "--count", "6", "--seed", "11"]
+        _, a = run_cli(args + ["--workers", "2"])
+        _, b = run_cli(args + ["--workers", "1"])
         assert a == b
         header = a.splitlines()[1]
         assert header.startswith("index,darga,coeffs,il")
@@ -224,7 +272,7 @@ class TestScan:
         assert abs(be_values[0] - 4) < 1e-12
 
     def test_row_ignores_ambient_precision(self):
-        # a pool thread sees whatever precision the other thread has set
+        # a library caller may run a row inside its own precision block
         p = parse_coeff_text("17,12,-18,7,-18,12,17")
         at_53 = _scan_row(0, p)
         with mpmath.workprec(768):
@@ -261,3 +309,16 @@ class TestPlotdata:
     def test_invalid_darga(self):
         code, out = run_cli(["plotdata", "--darga", "6"])
         assert code == 2
+
+
+class TestImportWeight:
+    def test_cli_does_not_load_concurrent_futures(self):
+        # importing concurrent.futures costs ~0.75 MiB of peak RSS per process
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        code = ("import sys, palinlace.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

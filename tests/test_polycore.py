@@ -25,6 +25,7 @@ from palinlace.polycore import (
     make_polynomial,
     p_alpha,
     parse_coeff_text,
+    parse_scalar_token,
     parse_sigma_text,
     poly_of,
     sigma_of,
@@ -249,9 +250,19 @@ class TestTextFormat:
         assert p.darga == 6
         assert format_coeff_text(p) == "1,2/3,0,2/3,1"
 
-    def test_decimal_goes_float(self):
+    def test_decimal_tokens_are_exact(self):
+        for tok, want in [("0.1", Q(1, 10)), ("-.5", Q(-1, 2)), ("2.50", Q(5, 2)),
+                          ("1e-3", Q(1, 1000)), ("2.5E2", Q(250)), ("1/-2", Q(-1, 2))]:
+            got = parse_scalar_token(tok)
+            assert type(got) is Q and got == want, tok
         p = parse_coeff_text("1.5,1.5")
-        assert not p.is_exact and p.is_palindromic()
+        assert p.is_exact and p.is_palindromic()
+        assert parse_sigma_text("0.5,0.25", 4).is_exact
+
+    @pytest.mark.parametrize("tok", ["inf", "-inf", "nan"])
+    def test_non_finite_tokens_are_rejected(self, tok):
+        with pytest.raises(ValueError):
+            parse_scalar_token(tok)
 
     def test_sigma_parse(self):
         p = parse_sigma_text("172,100,198", 6)
